@@ -2,7 +2,7 @@
 
 Mamdani and Sugeno engines built from first principles, a catalog of the
 thirteen radio inputs and six decision outputs on a common 0..100 scale,
-built-in rule bases for each decision, and a sweep/correlation harness for
+the shipped rule base for each decision, and a sweep/correlation harness for
 comparing membership-function choices.
 """
 
@@ -26,6 +26,7 @@ from .catalog import (
     DECISION_INPUTS,
     DECISION_OUTPUT,
     UNIVERSE,
+    DecisionId,
     VariableCatalog,
     standard_catalog,
     sugeno_levels,
@@ -47,7 +48,6 @@ from .engine import (
     defuzz_mean_of_maxima,
     defuzz_smallest_of_maxima,
     defuzzify,
-    evaluate,
     firing_strength,
 )
 from .membership import (
@@ -57,7 +57,6 @@ from .membership import (
     Triangular,
     TrapezoidShoulder,
     Universe,
-    eval_mf,
 )
 from .metrics import (
     CalibrationRange,
@@ -72,10 +71,10 @@ from .metrics import (
     susceptibility_pct,
 )
 from .ruledsl import (
-    DecisionId,
     RuleBase,
     RuleParseError,
     builtin_rulebase,
+    parse_catalog_rules,
     parse_rules,
     serialize_rules,
 )

@@ -17,10 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import DECISION_INPUTS, standard_catalog, sugeno_levels
-from .engine import AndOp, EngineConfig, FuzzySystem, Rule, SugenoConsequent
+from .catalog import DECISION_INPUTS, DecisionId, standard_catalog, sugeno_levels
+from .engine import AndOp, EngineConfig, FuzzyError, FuzzySystem, Rule, SugenoConsequent
 from .membership import normalize_label
-from .ruledsl import DecisionId, builtin_rulebase
+from .ruledsl import builtin_rulebase
 
 __all__ = [
     "VariantId",
@@ -73,52 +73,46 @@ def build_system(
     variant: VariantId,
     resolution: int = 1001,
     and_op: AndOp | None = None,
-    sugeno_input_family: str = "gaussian",
-    linear_coefficients: Mapping[str, Sequence[float]] | None = None,
+    sugeno_consequents: Mapping[str, Sequence[float]] | None = None,
 ) -> FuzzySystem:
     """Assemble one decision system from the catalog and its built-in rules.
 
-    ``linear_coefficients`` maps consequent labels to per-input slopes (in
-    decision input order) for the affine Sugeno variant; it defaults to all
-    zeros, which makes the affine and constant variants coincide.
+    ``sugeno_consequents`` maps output labels to ``(constant, *slopes)`` for
+    the affine Sugeno variant, slopes in decision input order (missing
+    trailing slopes are zero). The constant replaces the catalog level of that
+    label. Labels match like rule labels; an unknown one is a ``ValueError``
+    for every variant, but only ``linear-sugeno`` uses the mapping. Labels it
+    leaves out keep the catalog level and zero slopes, so by default the
+    affine and constant variants coincide.
     """
-    base = builtin_rulebase(decision)
-    if variant is VariantId.TRIANGULAR_MAMDANI:
-        catalog = standard_catalog("triangular")
-        config = EngineConfig.mamdani(
-            and_op=and_op or AndOp.MIN, resolution=resolution
-        )
-        rules: Sequence[Rule] = base.rules
-    elif variant is VariantId.GAUSSIAN_MAMDANI:
-        catalog = standard_catalog("gaussian")
-        config = EngineConfig.mamdani(
-            and_op=and_op or AndOp.MIN, resolution=resolution
-        )
-        rules = base.rules
-    else:
-        catalog = standard_catalog(sugeno_input_family)
-        config = EngineConfig.sugeno(
-            and_op=and_op or AndOp.PRODUCT, resolution=resolution
-        )
-        levels = sugeno_levels(decision)
-        input_names = DECISION_INPUTS[decision]
-        slopes = linear_coefficients or {}
-        converted = []
-        for rule in base.rules:
-            label = rule.consequent
-            coefficients: tuple[tuple[str, float], ...] = ()
-            if variant is VariantId.LINEAR_SUGENO and label in slopes:
-                coefficients = tuple(zip(input_names, slopes[label]))
-            converted.append(
-                Rule(rule.antecedents, SugenoConsequent(levels[label], coefficients))
+    family = "triangular" if variant is VariantId.TRIANGULAR_MAMDANI else "gaussian"
+    catalog = standard_catalog(family)
+    output = catalog.decision_output(decision)
+    input_names = DECISION_INPUTS[decision]
+    consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
+    for label, values in (sugeno_consequents or {}).items():
+        try:
+            label = output.term(label).label
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        if not 1 <= len(values) <= 1 + len(input_names):
+            raise ValueError(
+                f"consequent {label!r} needs a constant and at most "
+                f"{len(input_names)} slopes, got {len(values)} numbers"
             )
-        rules = converted
-    return FuzzySystem(
-        inputs=catalog.decision_inputs(decision),
-        output=catalog.decision_output(decision),
-        rules=rules,
-        config=config,
-    )
+        if variant is VariantId.LINEAR_SUGENO:
+            consequents[label] = tuple(values)
+    rules: Sequence[Rule] = builtin_rulebase(decision).rules
+    if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
+        config = EngineConfig.mamdani(and_op=and_op or AndOp.MIN, resolution=resolution)
+    else:
+        config = EngineConfig.sugeno(and_op=and_op or AndOp.PRODUCT, resolution=resolution)
+        affine = {
+            label: SugenoConsequent(constant, tuple(zip(input_names, slopes)))
+            for label, (constant, *slopes) in consequents.items()
+        }
+        rules = [Rule(rule.antecedents, affine[rule.consequent]) for rule in rules]
+    return FuzzySystem(catalog.decision_inputs(decision), output, rules, config)
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,7 @@ def run_sweep(spec: SweepSpec, resolution: int = 1001) -> SweepResult:
             try:
                 values[variant] = system.evaluate(assignments)
             except Exception as exc:
-                raise RuntimeError(
+                raise FuzzyError(
                     f"{spec.decision.value}/{variant.value} failed at "
                     f"{spec.varied}={x:g}: {exc}"
                 ) from exc

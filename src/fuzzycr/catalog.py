@@ -8,8 +8,10 @@ so neighbouring terms cross at one half either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .membership import (
     Gaussian,
@@ -17,10 +19,11 @@ from .membership import (
     LinguisticVariable,
     Triangular,
     Universe,
+    normalize_label,
 )
-from .ruledsl import DecisionId
 
 __all__ = [
+    "DecisionId",
     "UNIVERSE",
     "VariableCatalog",
     "standard_catalog",
@@ -29,6 +32,27 @@ __all__ = [
     "DECISION_OUTPUT",
     "FAMILIES",
 ]
+
+
+class DecisionId(Enum):
+    """The six decision outputs a secondary user reasons about."""
+
+    CHANNEL_SELECTION = "channel-selection"
+    HANDOFF_STATUS = "handoff-status"
+    CHANNEL_GAIN = "channel-gain"
+    ACCESS_SPECTRUM = "access-spectrum"
+    ACCESS_LATENCY = "access-latency"
+    BANDWIDTH_ALLOCATION = "bandwidth-allocation"
+
+    @staticmethod
+    def parse(text: str) -> "DecisionId":
+        key = normalize_label(text)
+        for member in DecisionId:
+            if normalize_label(member.value) == key:
+                return member
+        valid = ", ".join(m.value for m in DecisionId)
+        raise ValueError(f"unknown decision {text!r}; valid: {valid}")
+
 
 UNIVERSE = Universe(0.0, 100.0)
 FAMILIES = ("triangular", "gaussian")
@@ -155,8 +179,12 @@ class VariableCatalog:
         return self.outputs[DECISION_OUTPUT[decision]]
 
 
+@functools.cache
 def standard_catalog(family: str = "triangular") -> VariableCatalog:
-    """Build the full variable catalog for one shape family."""
+    """The full variable catalog for one shape family, built once per process.
+
+    Callers share the returned catalog, so they must not mutate its dicts.
+    """
     inputs = {
         name: _variable(name, family, triangles, "input")
         for name, triangles in _INPUT_SPECS

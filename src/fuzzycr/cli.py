@@ -30,10 +30,10 @@ from .analysis import (
     standard_sweep_results,
     surface_grid,
 )
-from .catalog import DECISION_INPUTS, standard_catalog
-from .engine import AndOp
+from .catalog import DECISION_INPUTS, DecisionId, standard_catalog
+from .engine import AndOp, FuzzyError
 from .metrics import CalibrationRange
-from .ruledsl import DecisionId, RuleParseError, parse_rules
+from .ruledsl import RuleParseError, parse_catalog_rules
 from .svgplot import write_line_chart
 
 OUTPUT_DIR_ENV = "FUZZYCR_OUTPUT_DIR"
@@ -41,6 +41,11 @@ OUTPUT_DIR_ENV = "FUZZYCR_OUTPUT_DIR"
 # CSV cells carry full precision so downstream correlation is stable; the
 # terminal prints 4 significant digits.
 CSV_FORMAT = "%.17g"
+
+# Most points one grid axis may have (0:100:0.1 still fits). A surface
+# evaluates the square of this per variant, so a mistyped step fails at once
+# instead of running for hours.
+MAX_GRID_POINTS = 1001
 
 
 class CliError(Exception):
@@ -65,28 +70,26 @@ class CliConfig:
     )
 
 
+def _grid_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """Points ``lo + i*step`` up to ``hi``, at most ``MAX_GRID_POINTS`` of them."""
+    if not step > 0 or not hi >= lo:
+        raise CliError(f"bad grid range {lo:g}:{hi:g}:{step:g}")
+    intervals = (hi - lo + 1e-9) / step
+    if intervals >= MAX_GRID_POINTS:
+        raise CliError(
+            f"grid {lo:g}:{hi:g}:{step:g} has more than {MAX_GRID_POINTS} points"
+        )
+    return tuple(round(lo + i * step, 9) for i in range(int(intervals) + 1))
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Grid spec: either ``lo:hi:step`` or a comma list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise CliError(f"grid must be lo:hi:step or a comma list, got {text!r}")
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise CliError(f"bad grid range {text!r}")
-        values = []
-        x = lo
-        while x <= hi + 1e-9:
-            values.append(round(x, 9))
-            x += step
-        return tuple(values)
+        return _grid_range(*(float(p) for p in parts))
     return tuple(float(p) for p in text.split(","))
-
-
-_SCALAR_KEYS = {
-    "resolution", "fixed_value", "grid", "variant", "decision",
-    "mamdani_and_op", "sugeno_and_op", "output_dir",
-}
 
 
 def load_config(path: Path) -> CliConfig:
@@ -122,8 +125,6 @@ def load_config(path: Path) -> CliConfig:
             else:
                 decision = DecisionId.parse(section.split(".", 1)[1])
                 numbers = tuple(float(p) for p in value.split(","))
-                if not numbers:
-                    raise CliError("empty coefficient list")
                 config.sugeno_coefficients.setdefault(decision, {})[key] = numbers
         except CliError:
             raise
@@ -133,8 +134,6 @@ def load_config(path: Path) -> CliConfig:
 
 
 def _apply_scalar(config: CliConfig, key: str, value: str) -> None:
-    if key not in _SCALAR_KEYS:
-        raise CliError(f"unknown config key {key!r}")
     if key == "resolution":
         config.resolution = int(value)
     elif key == "fixed_value":
@@ -152,6 +151,8 @@ def _apply_scalar(config: CliConfig, key: str, value: str) -> None:
         setattr(config, key, op)
     elif key == "output_dir":
         config.output_dir = Path(value)
+    else:
+        raise CliError(f"unknown config key {key!r}")
 
 
 def _output_dir(config: CliConfig, flag: str | None) -> Path:
@@ -164,23 +165,17 @@ def _output_dir(config: CliConfig, flag: str | None) -> Path:
 
 
 def _system_for(config: CliConfig, decision: DecisionId, variant: VariantId):
-    and_op = None
     if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
         and_op = config.mamdani_and_op
     else:
         and_op = config.sugeno_and_op
-    # Build label -> (constant, slopes...) into slope mapping for the affine
-    # variant; the constant in column 0 replaces the catalog level.
-    coeffs = config.sugeno_coefficients.get(decision, {})
-    slopes = {label: values[1:] for label, values in coeffs.items() if len(values) > 1}
-    system = build_system(
+    return build_system(
         decision,
         variant,
         resolution=config.resolution,
         and_op=and_op,
-        linear_coefficients=slopes or None,
+        sugeno_consequents=config.sugeno_coefficients.get(decision),
     )
-    return system
 
 
 def _format_value(value: float) -> str:
@@ -251,8 +246,7 @@ def cmd_sweep(args: argparse.Namespace, config: CliConfig) -> int:
 def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
     decision = DecisionId.parse(args.decision)
     variants = _variant_list(args.variants)
-    step = args.step
-    grid = tuple(float(x) for x in _float_range(0.0, 100.0, step))
+    grid = _grid_range(0.0, 100.0, args.step)
     grids = surface_grid(
         decision, args.vary_a, args.vary_b,
         fixed_value=args.fixed if args.fixed is not None else config.fixed_value,
@@ -268,17 +262,6 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
         _write_csv(path, header, rows)
         print(f"wrote {path}")
     return 0
-
-
-def _float_range(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0:
-        raise CliError(f"step must be positive, got {step}")
-    values = []
-    x = lo
-    while x <= hi + 1e-9:
-        values.append(round(x, 9))
-        x += step
-    return values
 
 
 def cmd_tables(args: argparse.Namespace, config: CliConfig) -> int:
@@ -369,10 +352,8 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.path)
     text = path.read_text(encoding="utf-8")
     catalog = standard_catalog("triangular")
-    # Bind against every referenced variable; the output is whichever catalog
-    # output the THEN clauses assign.
     try:
-        rulebase = _parse_against_catalog(text, catalog)
+        rulebase = parse_catalog_rules(text, catalog)
     except RuleParseError as exc:
         print(f"{path}: {exc}")
         return 1
@@ -402,43 +383,6 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
         return 1
     print(f"{path}: {count} rules, complete, no conflicts")
     return 0
-
-
-def _parse_against_catalog(text: str, catalog):
-    """Resolve the file's variables against the catalog, then parse."""
-    from .membership import normalize_label
-
-    referenced_inputs: list[str] = []
-    output_name: str | None = None
-    input_keys = {normalize_label(n): n for n in catalog.inputs}
-    output_keys = {normalize_label(n): n for n in catalog.outputs}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        lowered = [t.lower() for t in tokens]
-        then_at = lowered.index("then") if "then" in lowered else len(tokens)
-        tail = tokens[then_at + 1 :]
-        if "is" in [t.lower() for t in tail]:
-            is_at = [t.lower() for t in tail].index("is")
-            key = normalize_label(" ".join(tail[:is_at]))
-            if key in output_keys:
-                output_name = output_keys[key]
-        # only the IF part names input variables; the consequent variable may
-        # share an input's name (access latency is both)
-        for token in tokens[:then_at]:
-            key = normalize_label(token)
-            if key in input_keys and input_keys[key] not in referenced_inputs:
-                referenced_inputs.append(input_keys[key])
-    if output_name is None:
-        # empty or headerless file: bind something harmless so parse still
-        # reports per-line errors
-        output_name = next(iter(catalog.outputs))
-    inputs = [catalog.inputs[name] for name in referenced_inputs] or list(
-        catalog.inputs.values()
-    )
-    return parse_rules(text, inputs, catalog.outputs[output_name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(Path(args.config)) if args.config else CliConfig()
         return args.func(args, config)
-    except (CliError, RuleParseError, ValueError, OSError) as exc:
+    except (CliError, FuzzyError, RuleParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,12 @@
 """Mamdani and Sugeno inference engines.
 
-A :class:`FuzzySystem` is immutable once built; :func:`evaluate` is pure and
-reentrant, so systems can be evaluated from many threads at once.
+A :class:`FuzzySystem` is immutable once built; :meth:`FuzzySystem.evaluate`
+is pure and reentrant, so systems can be evaluated from many threads at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
@@ -69,21 +70,16 @@ class DefuzzMethod(Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine wiring: conjunction, implication, aggregation, defuzzifier, and
-    the sample count used for the output universe."""
+    """Engine wiring: conjunction, defuzzifier, and the sample count used for
+    the output universe. Mamdani systems always clip by min and aggregate by
+    max."""
 
     kind: EngineKind
     and_op: AndOp
     defuzz: DefuzzMethod = DefuzzMethod.CENTROID
-    implication: str = "min"
-    aggregation: str = "max"
     resolution: int = 1001
 
     def __post_init__(self) -> None:
-        if self.implication != "min":
-            raise ValueError("only min implication is supported")
-        if self.aggregation != "max":
-            raise ValueError("only max aggregation is supported")
         if self.resolution < 101 or self.resolution % 2 == 0:
             raise ValueError(
                 f"resolution must be odd and >= 101, got {self.resolution}"
@@ -329,7 +325,11 @@ class FuzzySystem:
                         )
 
     def assignments(self, x: Union[Sequence[float], Mapping[str, float]]) -> dict[str, float]:
-        """Resolve positional or named inputs to a name -> value mapping."""
+        """Resolve positional or named inputs to a name -> value mapping.
+
+        Out-of-range values, ±inf included, are clamped to the input's
+        universe; NaN is rejected with a ``ValueError`` naming the input.
+        """
         if isinstance(x, Mapping):
             unknown = set(x) - set(self.input_names)
             if unknown:
@@ -337,13 +337,20 @@ class FuzzySystem:
             missing = set(self.input_names) - set(x)
             if missing:
                 raise ValueError(f"missing inputs: {sorted(missing)}")
-            return {name: float(x[name]) for name in self.input_names}
-        values = list(x)
-        if len(values) != len(self.inputs):
-            raise ValueError(
-                f"expected {len(self.inputs)} inputs, got {len(values)}"
-            )
-        return dict(zip(self.input_names, map(float, values)))
+            values = [x[name] for name in self.input_names]
+        else:
+            values = list(x)
+            if len(values) != len(self.inputs):
+                raise ValueError(
+                    f"expected {len(self.inputs)} inputs, got {len(values)}"
+                )
+        resolved = {}
+        for var, value in zip(self.inputs, values):
+            value = float(value)
+            if math.isnan(value):
+                raise ValueError(f"input {var.name!r} is NaN")
+            resolved[var.name] = var.universe.clamp(value)
+        return resolved
 
     def fuzzify(self, assignments: Mapping[str, float]) -> dict[str, dict[str, float]]:
         return {
@@ -388,8 +395,3 @@ class FuzzySystem:
         if self.config.kind is EngineKind.MAMDANI:
             return defuzzify(self.mamdani_aggregate(x), self.config.defuzz)
         return self.sugeno_evaluate(x)
-
-
-def evaluate(system: FuzzySystem, x: Union[Sequence[float], Mapping[str, float]]) -> float:
-    """Crisp output of a system for one input vector."""
-    return system.evaluate(x)

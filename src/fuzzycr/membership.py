@@ -220,8 +220,3 @@ class LinguisticVariable:
         """Degrees of every term at x. Values outside the universe are clamped."""
         cx = self.universe.clamp(x)
         return {t.label: t.mf.degree(cx) for t in self.terms}
-
-
-def eval_mf(mf: MembershipFunction, x: float) -> float:
-    """Degree of a membership function at a crisp value (no clamping)."""
-    return mf.degree(x)

@@ -1,4 +1,4 @@
-"""Line-oriented IF/THEN rule format and the six built-in decision rule bases.
+"""Line-oriented IF/THEN rule format and the loader for the six shipped rule bases.
 
 Grammar (keywords case-insensitive, ``#`` starts a comment, blank lines are
 skipped)::
@@ -13,41 +13,26 @@ disjunction is not supported.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Sequence
+from importlib import resources
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from .catalog import standard_catalog
 from .engine import Rule
 from .membership import LinguisticVariable, normalize_label
 
+if TYPE_CHECKING:
+    from .catalog import DecisionId, VariableCatalog
+
 __all__ = [
-    "DecisionId",
     "RuleBase",
     "RuleParseError",
     "parse_rules",
+    "parse_catalog_rules",
     "serialize_rules",
     "builtin_rulebase",
 ]
-
-
-class DecisionId(Enum):
-    """The six decision outputs a secondary user reasons about."""
-
-    CHANNEL_SELECTION = "channel-selection"
-    HANDOFF_STATUS = "handoff-status"
-    CHANNEL_GAIN = "channel-gain"
-    ACCESS_SPECTRUM = "access-spectrum"
-    ACCESS_LATENCY = "access-latency"
-    BANDWIDTH_ALLOCATION = "bandwidth-allocation"
-
-    @staticmethod
-    def parse(text: str) -> "DecisionId":
-        key = normalize_label(text)
-        for member in DecisionId:
-            if normalize_label(member.value) == key:
-                return member
-        valid = ", ".join(m.value for m in DecisionId)
-        raise ValueError(f"unknown decision {text!r}; valid: {valid}")
 
 
 class RuleParseError(ValueError):
@@ -66,16 +51,9 @@ class RuleBase:
 
     rules: tuple[Rule, ...]
     variable_order: tuple[str, ...] = field(compare=False, default=())
-    source: str = field(compare=False, default="")
 
     def __len__(self) -> int:
         return len(self.rules)
-
-    def antecedent_maps(self) -> list[dict[str, str]]:
-        return [rule.antecedent_map() for rule in self.rules]
-
-
-_KEYWORDS = {"if", "and", "then", "is"}
 
 
 def _split_clauses(tokens: list[str], line_no: int) -> tuple[list[list[str]], list[str]]:
@@ -116,28 +94,35 @@ def _parse_clause(tokens: list[str], line_no: int) -> tuple[str, str]:
     return name, label
 
 
-def parse_rules(
-    text: str,
-    inputs: Sequence[LinguisticVariable],
-    output: LinguisticVariable,
-) -> RuleBase:
-    """Parse rule text against bound variables into a rule base.
+# One parsed rule line: its number, the IF clauses as (name, label) pairs in
+# written order, and the THEN clause.
+_RuleLine = tuple[int, list[tuple[str, str]], tuple[str, str]]
 
-    Duplicate antecedent sets are rejected outright (consistent or not), so
-    transcription slips surface instead of silently overriding each other.
-    """
-    inputs_by_key = {normalize_label(v.name): v for v in inputs}
-    output_key = normalize_label(output.name)
-    rules: list[Rule] = []
-    seen: dict[tuple[tuple[str, str], ...], int] = {}
+
+def _rule_lines(text: str) -> Iterator[_RuleLine]:
+    """Syntax pass: split each rule line into clauses, binding nothing."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         clauses, consequent_tokens = _split_clauses(line.split(), line_no)
+        antecedents = [_parse_clause(clause, line_no) for clause in clauses]
+        yield line_no, antecedents, _parse_clause(consequent_tokens, line_no)
+
+
+def _bind_rules(
+    lines: Iterable[_RuleLine],
+    inputs: Sequence[LinguisticVariable],
+    output: LinguisticVariable,
+) -> RuleBase:
+    """Binding pass: resolve every clause against the bound variables."""
+    inputs_by_key = {normalize_label(v.name): v for v in inputs}
+    output_key = normalize_label(output.name)
+    rules: list[Rule] = []
+    seen: dict[tuple[tuple[str, str], ...], int] = {}
+    for line_no, clauses, (out_name, out_label) in lines:
         antecedents: dict[str, str] = {}
-        for clause in clauses:
-            name, label = _parse_clause(clause, line_no)
+        for name, label in clauses:
             var = inputs_by_key.get(normalize_label(name))
             if var is None:
                 known = ", ".join(v.name for v in inputs)
@@ -157,7 +142,6 @@ def parse_rules(
                     f"variable {var.name!r} appears twice in one rule", line_no
                 )
             antecedents[var.name] = term.label
-        out_name, out_label = _parse_clause(consequent_tokens, line_no)
         if normalize_label(out_name) != output_key:
             raise RuleParseError(
                 f"consequent must assign the output variable {output.name!r}, "
@@ -180,7 +164,46 @@ def parse_rules(
         seen[key] = line_no
         rules.append(Rule.of(antecedents, out_term.label))
     order = tuple(v.name for v in inputs) + (output.name,)
-    return RuleBase(tuple(rules), variable_order=order, source="parsed")
+    return RuleBase(tuple(rules), variable_order=order)
+
+
+def parse_rules(
+    text: str,
+    inputs: Sequence[LinguisticVariable],
+    output: LinguisticVariable,
+) -> RuleBase:
+    """Parse rule text against bound variables into a rule base.
+
+    Duplicate antecedent sets are rejected outright (consistent or not), so
+    transcription slips surface instead of silently overriding each other.
+    """
+    return _bind_rules(_rule_lines(text), inputs, output)
+
+
+def parse_catalog_rules(text: str, catalog: VariableCatalog) -> RuleBase:
+    """Parse rule text against the catalog variables it names.
+
+    The inputs are the catalog inputs named in IF clauses, in first-seen
+    order; the output is the catalog output the first THEN clause assigns.
+    Text without rules gives an empty rule base.
+    """
+    lines = list(_rule_lines(text))
+    if not lines:
+        return RuleBase(())
+    inputs = {normalize_label(name): v for name, v in catalog.inputs.items()}
+    outputs = {normalize_label(name): v for name, v in catalog.outputs.items()}
+    named = dict.fromkeys(
+        normalize_label(name) for _, clauses, _ in lines for name, _ in clauses
+    )
+    line_no, _, (out_name, _) = lines[0]
+    output = outputs.get(normalize_label(out_name))
+    if output is None:
+        raise RuleParseError(
+            f"unknown output variable {out_name!r}; "
+            f"catalog outputs: {', '.join(catalog.outputs)}",
+            line_no,
+        )
+    return _bind_rules(lines, [inputs[key] for key in named if key in inputs], output)
 
 
 def serialize_rules(rulebase: RuleBase) -> str:
@@ -197,202 +220,12 @@ def serialize_rules(rulebase: RuleBase) -> str:
     return "\n".join(lines)
 
 
-# --- built-in rule bases ----------------------------------------------------
-#
-# Label shorthand used by the tables below.
-_L5 = {"VH": "VeryHigh", "H": "High", "M": "Moderate", "L": "Low", "VL": "VeryLow"}
-_L3 = {"S": "Small", "M": "Medium", "L": "Large"}
-_ONOFF = {"+": "On", "-": "Off"}
-_PRESENCE = {"P": "Present", "A": "Absent"}
-
-_FIVE = ("VH", "H", "M", "L", "VL")
-_THREE = ("S", "M", "L")
-
-# Channel selection from (signal strength, spectrum demand, snr). Each cell
-# lists the consequents for snr = VH, H, M, L, VL. The published table repeats
-# one (Low, VeryLow, VeryLow) row verbatim; the duplicate is dropped, leaving
-# the full 5x5x5 base.
-_CHANNEL_SELECTION = {
-    "VH": {
-        "VH": "M  L  VL VL VL",
-        "H":  "H  M  L  VL VL",
-        "M":  "VH H  M  L  VL",
-        "L":  "VH VH H  M  L",
-        "VL": "VH VH VH H  M",
-    },
-    "H": {
-        "VH": "M  L  VL VL VL",
-        "H":  "H  M  L  VL VL",
-        "M":  "VH H  M  L  VL",
-        "L":  "VH VH H  M  L",
-        "VL": "VH VH VH H  M",
-    },
-    "M": {
-        "VH": "M  L  L  VL VL",
-        "H":  "H  M  L  L  VL",
-        "M":  "VH H  M  L  VL",
-        "L":  "VH VH H  M  L",
-        "VL": "VH VH VH H  M",
-    },
-    "L": {
-        "VH": "M  L  L  VL VL",
-        "H":  "H  M  L  VL VL",
-        "M":  "L  L  VL L  VL",
-        "L":  "VH VH M  L  L",
-        "VL": "VH VH H  M  M",
-    },
-    "VL": {
-        "VH": "M  L  L  VL VL",
-        "H":  "H  M  L  VL VL",
-        "M":  "L  L  VL VL VL",
-        "L":  "VH VH M  L  VL",
-        "VL": "VH VH H  M  VL",
-    },
-}
-
-# Handoff status from (snr, interference); consequents for interference =
-# VH, H, M, L, VL.
-_HANDOFF = {
-    "VH": "- - + + +",
-    "H":  "- - + + +",
-    "M":  "- - + + -",
-    "L":  "- - - - -",
-    "VL": "- - - - -",
-}
-
-# Channel gain from (channel quality, susceptibility); consequents for
-# susceptibility = VH, H, M, L, VL.
-_CHANNEL_GAIN = {
-    "VH": "L  L  H  VH VH",
-    "H":  "L  L  M  H  VH",
-    "M":  "L  L  M  M  H",
-    "L":  "L  L  L  L  L",
-    "VL": "L  L  L  L  L",
-}
-
-# Spectrum access from (utilisation efficiency, mobility, distance);
-# consequents for distance = S, M, L.
-_ACCESS_SPECTRUM = {
-    "S": {"S": "VL L  L", "M": "VL L  M", "L": "L  L  M"},
-    "M": {"S": "VL M  H", "M": "VL M  H", "L": "VL L  H"},
-    "L": {"S": "L  H  VH", "M": "L  H  VH", "L": "VL H  H"},
-}
-
-# Access latency from (secondary-user traffic, allocation-queue traffic);
-# consequents for queue traffic = Absent, Present.
-_ACCESS_LATENCY = {
-    "VL": "VL L",
-    "L":  "L  M",
-    "M":  "M  H",
-    "H":  "H  VH",
-    "VH": "VH VH",
-}
-
-# Bandwidth allocation from (access latency, traffic priority); consequents
-# for priority = Absent, Present.
-_BANDWIDTH_ALLOCATION = {
-    "VL": "VH VH",
-    "L":  "M  H",
-    "M":  "L  M",
-    "H":  "L  L",
-    "VH": "VL VL",
-}
-
-
-def _rules_from_grid3(
-    table: dict, axes: tuple[str, str, str], codes1, codes2, codes3, labels
-) -> list[Rule]:
-    rules = []
-    for c1 in codes1:
-        for c2 in codes2:
-            row = table[c1][c2].split()
-            for c3, out in zip(codes3, row):
-                rules.append(
-                    Rule.of(
-                        {
-                            axes[0]: labels[c1],
-                            axes[1]: labels[c2],
-                            axes[2]: labels[c3],
-                        },
-                        _L5[out],
-                    )
-                )
-    return rules
-
-
-def _rules_from_grid2(
-    table: dict, axes: tuple[str, str], codes1, codes2, in_labels, col_labels, out_labels
-) -> list[Rule]:
-    rules = []
-    for c1 in codes1:
-        row = table[c1].split()
-        for c2, out in zip(codes2, row):
-            rules.append(
-                Rule.of(
-                    {axes[0]: in_labels[c1], axes[1]: col_labels[c2]},
-                    out_labels[out],
-                )
-            )
-    return rules
-
-
+@functools.cache
 def builtin_rulebase(decision: DecisionId) -> RuleBase:
-    """The shipped rule base for one decision, bound to catalog variable names."""
-    if decision is DecisionId.CHANNEL_SELECTION:
-        rules = _rules_from_grid3(
-            _CHANNEL_SELECTION,
-            ("signal_strength", "spectrum_demand", "snr"),
-            _FIVE, _FIVE, _FIVE,
-            _L5,
-        )
-        order = ("signal_strength", "spectrum_demand", "snr", "channel_selection")
-    elif decision is DecisionId.HANDOFF_STATUS:
-        rules = _rules_from_grid2(
-            _HANDOFF,
-            ("snr", "interference"),
-            _FIVE, _FIVE,
-            _L5, _L5, _ONOFF,
-        )
-        order = ("snr", "interference", "handoff_status")
-    elif decision is DecisionId.CHANNEL_GAIN:
-        rules = _rules_from_grid2(
-            _CHANNEL_GAIN,
-            ("channel_quality", "susceptibility"),
-            _FIVE, _FIVE,
-            _L5, _L5, _L5,
-        )
-        order = ("channel_quality", "susceptibility", "channel_gain")
-    elif decision is DecisionId.ACCESS_SPECTRUM:
-        rules = _rules_from_grid3(
-            _ACCESS_SPECTRUM,
-            (
-                "spectrum_utilisation_efficiency",
-                "degree_of_mobility",
-                "distance_to_primary_user",
-            ),
-            _THREE, _THREE, _THREE,
-            _L3,
-        )
-        order = (
-            "spectrum_utilisation_efficiency",
-            "degree_of_mobility",
-            "distance_to_primary_user",
-            "access_spectrum",
-        )
-    elif decision is DecisionId.ACCESS_LATENCY:
-        rules = _rules_from_grid2(
-            _ACCESS_LATENCY,
-            ("su_traffic_intensity", "ba_traffic_intensity"),
-            _FIVE, ("A", "P"),
-            _L5, _PRESENCE, _L5,
-        )
-        order = ("su_traffic_intensity", "ba_traffic_intensity", "access_latency")
-    else:
-        rules = _rules_from_grid2(
-            _BANDWIDTH_ALLOCATION,
-            ("access_latency", "traffic_priority"),
-            _FIVE, ("A", "P"),
-            _L5, _PRESENCE, _L5,
-        )
-        order = ("access_latency", "traffic_priority", "bandwidth_allocation")
-    return RuleBase(tuple(rules), variable_order=order, source=f"builtin:{decision.value}")
+    """The shipped rule base for one decision, read from its ``.rules`` file."""
+    name = decision.value.replace("-", "_") + ".rules"
+    text = resources.files("fuzzycr.data").joinpath(name).read_text(encoding="utf-8")
+    catalog = standard_catalog("triangular")
+    return parse_rules(
+        text, catalog.decision_inputs(decision), catalog.decision_output(decision)
+    )

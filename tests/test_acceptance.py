@@ -15,7 +15,7 @@ from fuzzycr.analysis import (
     pearson,
     trend_violations,
 )
-from fuzzycr.catalog import DECISION_INPUTS
+from fuzzycr.catalog import DECISION_INPUTS, DecisionId
 from fuzzycr.engine import AggregateCurve, defuzz_centroid
 from fuzzycr.membership import Triangular, Universe
 from fuzzycr.metrics import (
@@ -28,12 +28,7 @@ from fuzzycr.metrics import (
     spectrum_utilisation_efficiency,
     susceptibility_pct,
 )
-from fuzzycr.ruledsl import (
-    DecisionId,
-    builtin_rulebase,
-    parse_rules,
-    serialize_rules,
-)
+from fuzzycr.ruledsl import builtin_rulebase, parse_rules, serialize_rules
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:

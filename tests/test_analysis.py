@@ -18,7 +18,7 @@ from fuzzycr.analysis import (
 )
 from fuzzycr.engine import AndOp, DefuzzMethod, EngineConfig, FuzzySystem, Rule
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
-from fuzzycr.ruledsl import DecisionId
+from fuzzycr.catalog import DecisionId
 
 
 class TestBuildSystem:
@@ -32,27 +32,27 @@ class TestBuildSystem:
         assert sugeno.config.and_op is AndOp.PRODUCT
         assert type(sugeno.inputs[0].term("Moderate").mf).__name__ == "Gaussian"
 
-    def test_sugeno_input_family_is_configurable(self):
-        system = build_system(
-            DecisionId.ACCESS_LATENCY,
-            VariantId.CONSTANT_SUGENO,
-            sugeno_input_family="triangular",
-        )
-        assert type(system.inputs[0].term("Moderate").mf).__name__ == "Triangular"
-        # with triangular partitions the two fired consequents average exactly
-        assert system.evaluate(
-            {"su_traffic_intensity": 10, "ba_traffic_intensity": 50}
-        ) == pytest.approx(0.6 * 12.5 + 0.4 * 37.5)
-
     def test_linear_coefficients_tilt_the_output(self):
         flat = build_system(DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO)
         tilted = build_system(
             DecisionId.HANDOFF_STATUS,
             VariantId.LINEAR_SUGENO,
-            linear_coefficients={"On": (0.1, 0.0)},
+            sugeno_consequents={"On": (100.0, 0.1, 0.0)},
         )
         x = {"snr": 80.0, "interference": 20.0}
         assert tilted.evaluate(x) != pytest.approx(flat.evaluate(x))
+
+    def test_sugeno_consequents_reject_unknown_label_and_extra_slopes(self):
+        with pytest.raises(ValueError, match="no label 'Maybe'"):
+            build_system(
+                DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI,
+                sugeno_consequents={"Maybe": (1.0,)},
+            )
+        with pytest.raises(ValueError, match="at most 2 slopes"):
+            build_system(
+                DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO,
+                sugeno_consequents={"On": (1.0, 2.0, 3.0, 4.0)},
+            )
 
 
 class TestRunSweep:

@@ -7,11 +7,11 @@ from fuzzycr.catalog import (
     DECISION_INPUTS,
     DECISION_OUTPUT,
     FAMILIES,
+    DecisionId,
     standard_catalog,
     sugeno_levels,
 )
 from fuzzycr.membership import Gaussian, Triangular
-from fuzzycr.ruledsl import DecisionId
 
 FWHM = 2 * math.sqrt(2 * math.log(2))
 

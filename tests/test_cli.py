@@ -1,6 +1,7 @@
 import pytest
 
-from fuzzycr.cli import CliError, load_config, main
+from fuzzycr.cli import MAX_GRID_POINTS, CliError, load_config, main
+from fuzzycr.engine import EmptyAggregateError, FuzzySystem
 
 
 def run_cli(*argv, capsys=None):
@@ -54,6 +55,23 @@ class TestEval:
         assert code == 1
         assert "not an input" in err
 
+    def test_nan_input_fails_naming_the_input(self, capsys):
+        code, out, err = run_cli(
+            "eval", "--decision", "handoff-status", "--in", "snr=nan", capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: input 'snr' is NaN"
+
+    def test_inference_failure_is_one_line(self, capsys, monkeypatch):
+        def fail(self, x):
+            raise EmptyAggregateError("empty aggregate")
+
+        monkeypatch.setattr(FuzzySystem, "evaluate", fail)
+        code, _, err = run_cli("eval", "--decision", "handoff-status", capsys=capsys)
+        assert code == 1
+        assert err == "error: empty aggregate\n"
+
 
 class TestTables:
     def test_writes_all_csvs_byte_stable(self, tmp_path, capsys):
@@ -92,6 +110,59 @@ class TestTables:
 
 
 class TestSweepAndSurface:
+    def test_sweep_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def fail(self, x):
+            raise EmptyAggregateError("empty aggregate")
+
+        monkeypatch.setattr(FuzzySystem, "evaluate", fail)
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            "sweep", "--decision", "handoff-status", "--vary", "snr",
+            "--variants", "constant-sugeno", "--out", str(out), capsys=capsys,
+        )
+        assert code == 1
+        assert err == (
+            "error: handoff-status/constant-sugeno failed at snr=10: empty aggregate\n"
+        )
+        assert not out.exists()
+
+    def test_oversized_grids_fail_fast(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            "sweep", "--decision", "handoff-status", "--vary", "snr",
+            "--grid", "0:100:1e-7", "--out", str(tmp_path / "s.csv"), capsys=capsys,
+        )
+        assert code == 1
+        assert f"more than {MAX_GRID_POINTS} points" in err
+        code, _, err = run_cli(
+            "surface", "--decision", "handoff-status", "--vary-a", "snr",
+            "--vary-b", "interference", "--step", "1e-7",
+            "--out-dir", str(tmp_path), capsys=capsys,
+        )
+        assert code == 1
+        assert f"more than {MAX_GRID_POINTS} points" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_range_grids_match_the_accumulated_ones(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        run_cli(
+            "sweep", "--decision", "handoff-status", "--vary", "snr",
+            "--grid", "0:100:25", "--variants", "constant-sugeno",
+            "--out", str(out), capsys=capsys,
+        )
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "25", "50", "75", "100"]
+        run_cli(
+            "surface", "--decision", "handoff-status", "--vary-a", "snr",
+            "--vary-b", "interference", "--variants", "constant-sugeno",
+            "--out-dir", str(tmp_path), capsys=capsys,
+        )
+        (surface,) = tmp_path.glob("surface_*.csv")
+        lines = surface.read_text().splitlines()
+        expected = [str(x) for x in range(0, 101, 2)]
+        assert lines[0].split(",")[1:] == expected
+        assert [line.split(",")[0] for line in lines[1:]] == expected
+
+
     def test_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code, _, _ = run_cli(
@@ -202,6 +273,21 @@ class TestCheckRules:
         assert code == 1
         assert "line 2" in out and "line 1" in out
 
+    def test_unknown_names_report_their_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(
+            "# header\n"
+            "IF snr IS Low AND interference IS Low THEN handoff_status IS Off\n"
+            "IF snr IS Low AND volume IS Loud THEN handoff_status IS On\n"
+        )
+        code, out, _ = run_cli("check-rules", str(bad), capsys=capsys)
+        assert code == 1
+        assert "line 3: unknown input variable 'volume'" in out
+        bad.write_text("IF snr IS Low THEN mood IS Good\n")
+        code, out, _ = run_cli("check-rules", str(bad), capsys=capsys)
+        assert code == 1
+        assert "line 1: unknown output variable 'mood'" in out
+
     def test_empty_file_reports_zero_rules(self, tmp_path, capsys):
         empty = tmp_path / "empty.rules"
         empty.write_text("# nothing here\n")
@@ -232,7 +318,7 @@ class TestConfigFile:
         assert config.fixed_value == 40.0
         assert config.grid == (0.0, 25.0, 50.0, 75.0, 100.0)
         assert config.calibration["snr"].raw_hi == 35.0
-        from fuzzycr.ruledsl import DecisionId
+        from fuzzycr.catalog import DecisionId
 
         assert config.sugeno_coefficients[DecisionId.HANDOFF_STATUS]["on"] == (
             100.0, 0.25, 0.0,
@@ -260,3 +346,30 @@ class TestConfigFile:
         assert code == 0
         # interference defaults to the configured fixed value of 100
         assert abs(float(out) - 33.33) <= 0.35
+
+    def eval_handoff(self, capsys, variant, config=None):
+        argv = ["--config", str(config)] if config else []
+        argv += ["eval", "--decision", "handoff-status", "--variant", variant]
+        return run_cli(*argv, capsys=capsys)
+
+    def test_sugeno_section_sets_linear_consequents(self, tmp_path, capsys):
+        assert self.eval_handoff(capsys, "linear-sugeno")[1].strip() == "89.19"
+        path = tmp_path / "fuzzycr.conf"
+        path.write_text("[sugeno.handoff-status]\nOn = 20\n")
+        # the constant replaces the On level: 20 instead of 100
+        code, out, _ = self.eval_handoff(capsys, "linear-sugeno", path)
+        assert code == 0
+        assert out.strip() == "17.84"
+        path.write_text("[sugeno.handoff-status]\nOn = 0, 5, 5\n")
+        assert self.eval_handoff(capsys, "linear-sugeno", path)[1].strip() == "446"
+        # constant-sugeno stays the catalog baseline
+        assert self.eval_handoff(capsys, "constant-sugeno", path)[1].strip() == "89.19"
+
+    def test_sugeno_section_unknown_label_fails(self, tmp_path, capsys):
+        path = tmp_path / "fuzzycr.conf"
+        path.write_text("[sugeno.handoff-status]\nMaybe = 50\n")
+        code, out, err = self.eval_handoff(capsys, "linear-sugeno", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no label 'maybe'" in err

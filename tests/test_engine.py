@@ -240,6 +240,22 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="unknown"):
             system.evaluate({"x": 1.0, "y": 2.0})
 
+    def test_nan_input_is_named_and_infinities_are_clamped(self):
+        system = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])
+        with pytest.raises(ValueError, match="'x' is NaN"):
+            system.evaluate([float("nan")])
+        with pytest.raises(ValueError, match="'x' is NaN"):
+            system.evaluate({"x": float("nan")})
+        affine = FuzzySystem(
+            [make_input()],
+            make_output(),
+            [Rule.of({"x": "Lo"}, SugenoConsequent(10.0, (("x", 0.5),)))],
+            EngineConfig.sugeno(),
+        )
+        # the affine consequent sees the clamped value too
+        assert affine.evaluate([float("-inf")]) == affine.evaluate([0.0]) == 10.0
+        assert affine.assignments([float("inf")]) == {"x": 100.0}
+
     def test_rule_needs_antecedents(self):
         with pytest.raises(ValueError, match="antecedent"):
             Rule.of({}, "Mid")

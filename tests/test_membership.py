@@ -11,39 +11,38 @@ from fuzzycr.membership import (
     TrapezoidShoulder,
     Triangular,
     Universe,
-    eval_mf,
 )
 
 
 class TestShapes:
     def test_triangle_peak(self):
-        assert eval_mf(Triangular(25, 50, 75), 50) == 1.0
+        assert Triangular(25, 50, 75).degree(50) == 1.0
 
     def test_triangle_linear_midpoint(self):
-        assert eval_mf(Triangular(25, 50, 75), 37.5) == pytest.approx(0.5)
+        assert Triangular(25, 50, 75).degree(37.5) == pytest.approx(0.5)
 
     def test_triangle_outside_feet(self):
         tri = Triangular(25, 50, 75)
-        assert eval_mf(tri, 24.9) == 0.0
-        assert eval_mf(tri, 75.1) == 0.0
+        assert tri.degree(24.9) == 0.0
+        assert tri.degree(75.1) == 0.0
 
     def test_left_shoulder_triangle_peaks_at_edge(self):
-        assert eval_mf(Triangular(0, 0, 25), 0) == 1.0
-        assert eval_mf(Triangular(0, 0, 25), 12.5) == pytest.approx(0.5)
-        assert eval_mf(Triangular(0, 0, 25), -1) == 0.0
+        assert Triangular(0, 0, 25).degree(0) == 1.0
+        assert Triangular(0, 0, 25).degree(12.5) == pytest.approx(0.5)
+        assert Triangular(0, 0, 25).degree(-1) == 0.0
 
     def test_gaussian_analytic_point(self):
-        assert eval_mf(Gaussian(50, 10), 60) == pytest.approx(math.exp(-0.5))
+        assert Gaussian(50, 10).degree(60) == pytest.approx(math.exp(-0.5))
 
     def test_gaussian_never_zero(self):
-        assert eval_mf(Gaussian(0, 10), 100) > 0.0
+        assert Gaussian(0, 10).degree(100) > 0.0
 
     def test_trapezoid_flat_top(self):
         trap = TrapezoidShoulder(0, 20, 60, 100)
-        assert eval_mf(trap, 20) == 1.0
-        assert eval_mf(trap, 40) == 1.0
-        assert eval_mf(trap, 10) == pytest.approx(0.5)
-        assert eval_mf(trap, 80) == pytest.approx(0.5)
+        assert trap.degree(20) == 1.0
+        assert trap.degree(40) == 1.0
+        assert trap.degree(10) == pytest.approx(0.5)
+        assert trap.degree(80) == pytest.approx(0.5)
 
     def test_profile_matches_pointwise_degree(self):
         xs = np.linspace(-10, 110, 241)
@@ -74,7 +73,7 @@ class TestShapes:
 def test_degrees_stay_in_unit_interval(x):
     for mf in (Triangular(0, 0, 25), Triangular(25, 50, 75), Gaussian(50, 10.6),
                TrapezoidShoulder(0, 25, 75, 100)):
-        assert 0.0 <= eval_mf(mf, x) <= 1.0
+        assert 0.0 <= mf.degree(x) <= 1.0
 
 
 @given(st.floats(0, 99.5), st.floats(1e-4, 0.5))
@@ -91,7 +90,7 @@ def test_evaluation_is_lipschitz_continuous_on_universe(x, eps):
         (Gaussian(50, 10.6166), 1 / (10.6166 * math.sqrt(math.e))),
     ]
     for mf, lipschitz in cases:
-        assert abs(eval_mf(mf, x + eps) - eval_mf(mf, x)) <= lipschitz * eps + 1e-12
+        assert abs(mf.degree(x + eps) - mf.degree(x)) <= lipschitz * eps + 1e-12
 
 
 class TestLinguisticVariable:

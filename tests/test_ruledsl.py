@@ -2,8 +2,8 @@ from itertools import product
 
 import pytest
 
+from fuzzycr.catalog import DecisionId
 from fuzzycr.ruledsl import (
-    DecisionId,
     RuleParseError,
     builtin_rulebase,
     parse_rules,
@@ -203,14 +203,15 @@ class TestBuiltinBases:
         assert at("Low", "Moderate", "Low") == "Low"
 
     @pytest.mark.parametrize("decision", list(DecisionId))
-    def test_shipped_rule_files_match_builtins(self, tri_catalog, decision):
+    def test_shipped_rule_files_match_builtins(self, decision):
+        # the built-in bases are loaded from these files, so check the other
+        # direction: each file is the canonical text of the base it defines
         from importlib import resources
 
         name = decision.value.replace("-", "_") + ".rules"
         text = resources.files("fuzzycr.data").joinpath(name).read_text("utf-8")
-        inputs, output = bound_variables(tri_catalog, decision)
-        parsed = parse_rules(text, inputs, output)
-        assert parsed.rules == builtin_rulebase(decision).rules
+        rule_lines = [line for line in text.splitlines() if not line.startswith("#")]
+        assert rule_lines == serialize_rules(builtin_rulebase(decision)).splitlines()
 
 
 def test_decision_id_parsing():
