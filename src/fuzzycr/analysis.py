@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -151,25 +151,55 @@ class SweepResult:
         return [x for x, _ in self.rows]
 
 
-def run_sweep(spec: SweepSpec, resolution: int = 1001) -> SweepResult:
-    """Evaluate every variant across the grid with the other inputs pinned."""
-    systems = {v: build_system(spec.decision, v, resolution) for v in spec.variants}
-    input_names = DECISION_INPUTS[spec.decision]
-    rows = []
-    for x in spec.grid:
-        assignments = {name: spec.fixed_value for name in input_names}
-        assignments[spec.varied] = x
-        values = {}
-        for variant, system in systems.items():
-            try:
-                values[variant] = system.evaluate(assignments)
-            except Exception as exc:
-                raise FuzzyError(
-                    f"{spec.decision.value}/{variant.value} failed at "
-                    f"{spec.varied}={x:g}: {exc}"
-                ) from exc
-        rows.append((x, values))
-    return SweepResult(spec, tuple(rows))
+SystemFactory = Callable[[DecisionId, VariantId], FuzzySystem]
+
+
+def _evaluate_variants(
+    decision: DecisionId,
+    variants: Sequence[VariantId],
+    system_for: SystemFactory,
+    x: np.ndarray,
+    point: Callable[[int], str],
+) -> dict[VariantId, np.ndarray]:
+    """Each variant's outputs over the rows of ``x`` (columns in decision
+    input order). A failure names the variant and, through ``point``, the
+    first row that fails."""
+    names = DECISION_INPUTS[decision]
+    out = {}
+    for variant in variants:
+        system = system_for(decision, variant)
+        rows = x[:, [names.index(name) for name in system.input_names]]
+        try:
+            out[variant] = system.evaluate_batch(rows)
+        except Exception:
+            for i in range(len(rows)):
+                try:
+                    system.evaluate_batch(rows[i:i + 1])
+                except Exception as exc:
+                    raise FuzzyError(
+                        f"{decision.value}/{variant.value} failed at {point(i)}: {exc}"
+                    ) from exc
+            raise
+    return out
+
+
+def run_sweep(spec: SweepSpec, system_for: SystemFactory = build_system) -> SweepResult:
+    """Evaluate every variant across the grid with the other inputs pinned.
+
+    ``system_for(decision, variant)`` builds each variant's system.
+    """
+    names = DECISION_INPUTS[spec.decision]
+    x = np.full((len(spec.grid), len(names)), spec.fixed_value)
+    x[:, names.index(spec.varied)] = spec.grid
+    columns = _evaluate_variants(
+        spec.decision, spec.variants, system_for, x,
+        lambda i: f"{spec.varied}={spec.grid[i]:g}",
+    )
+    rows = tuple(
+        (value, {v: float(columns[v][i]) for v in spec.variants})
+        for i, value in enumerate(spec.grid)
+    )
+    return SweepResult(spec, rows)
 
 
 def surface_grid(
@@ -179,12 +209,13 @@ def surface_grid(
     fixed_value: float = DEFAULT_FIXED,
     variants: tuple[VariantId, ...] = ALL_VARIANTS,
     grid: tuple[float, ...] = SURFACE_GRID,
-    resolution: int = 1001,
+    system_for: SystemFactory = build_system,
 ) -> dict[VariantId, np.ndarray]:
     """Outputs over the Cartesian grid of two inputs.
 
     Result arrays are indexed ``[i, j]`` with ``i`` running over ``input_a``
     values and ``j`` over ``input_b`` values, both in grid order.
+    ``system_for(decision, variant)`` builds each variant's system.
     """
     names = DECISION_INPUTS[decision]
     if input_a == input_b:
@@ -192,16 +223,15 @@ def surface_grid(
     for name in (input_a, input_b):
         if name not in names:
             raise ValueError(f"{name!r} is not an input of {decision.value}")
-    systems = {v: build_system(decision, v, resolution) for v in variants}
-    out = {v: np.empty((len(grid), len(grid))) for v in variants}
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            assignments = {name: fixed_value for name in names}
-            assignments[input_a] = a
-            assignments[input_b] = b
-            for variant, system in systems.items():
-                out[variant][i, j] = system.evaluate(assignments)
-    return out
+    n = len(grid)
+    x = np.full((n * n, len(names)), fixed_value)
+    x[:, names.index(input_a)] = np.repeat(grid, n)
+    x[:, names.index(input_b)] = np.tile(grid, n)
+    values = _evaluate_variants(
+        decision, variants, system_for, x,
+        lambda i: f"{input_a}={grid[i // n]:g}, {input_b}={grid[i % n]:g}",
+    )
+    return {v: values[v].reshape(n, n) for v in variants}
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -259,10 +289,12 @@ CORRELATION_PAIRS = (
 )
 
 
-def standard_sweep_results(resolution: int = 1001) -> dict[str, SweepResult]:
+def standard_sweep_results(
+    system_for: SystemFactory = build_system,
+) -> dict[str, SweepResult]:
     """All fourteen standard sweeps, keyed by sweep name."""
     return {
-        key: run_sweep(SweepSpec(decision, varied), resolution)
+        key: run_sweep(SweepSpec(decision, varied), system_for)
         for key, decision, varied in STANDARD_SWEEPS
     }
 

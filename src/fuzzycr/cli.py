@@ -9,6 +9,7 @@ and LF line endings.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -236,7 +237,7 @@ def cmd_sweep(args: argparse.Namespace, config: CliConfig) -> int:
         grid=_parse_grid(args.grid) if args.grid else (config.grid or DEFAULT_GRID),
         variants=_variant_list(args.variants),
     )
-    result = run_sweep(spec, resolution=config.resolution)
+    result = run_sweep(spec, functools.partial(_system_for, config))
     out = Path(args.out)
     _write_csv(out, _sweep_header(result), _sweep_rows(result))
     print(f"wrote {out}")
@@ -250,7 +251,7 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
     grids = surface_grid(
         decision, args.vary_a, args.vary_b,
         fixed_value=args.fixed if args.fixed is not None else config.fixed_value,
-        variants=variants, grid=grid, resolution=config.resolution,
+        variants=variants, grid=grid, system_for=functools.partial(_system_for, config),
     )
     outdir = _output_dir(config, args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +268,7 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
 def cmd_tables(args: argparse.Namespace, config: CliConfig) -> int:
     outdir = _output_dir(config, args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sweeps = standard_sweep_results(resolution=config.resolution)
+    sweeps = standard_sweep_results(functools.partial(_system_for, config))
     for number, (key, decision, varied) in enumerate(STANDARD_SWEEPS, start=9):
         result = sweeps[key]
         path = outdir / f"table{number:02d}.csv"
@@ -288,7 +289,7 @@ def _write_correlation_csv(path: Path, sweeps) -> None:
 
 
 def cmd_correlate(args: argparse.Namespace, config: CliConfig) -> int:
-    sweeps = standard_sweep_results(resolution=config.resolution)
+    sweeps = standard_sweep_results(functools.partial(_system_for, config))
     report = correlation_report(sweeps)
     if args.out:
         _write_correlation_csv(Path(args.out), sweeps)

@@ -1,11 +1,13 @@
 """Mamdani and Sugeno inference engines.
 
 A :class:`FuzzySystem` is immutable once built; :meth:`FuzzySystem.evaluate`
-is pure and reentrant, so systems can be evaluated from many threads at once.
+and :meth:`FuzzySystem.evaluate_batch` are pure and reentrant, so systems can
+be evaluated from many threads at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -13,7 +15,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .membership import LinguisticVariable, Universe
+from .membership import Gaussian, LinguisticVariable, Triangular, Universe
 
 __all__ = [
     "AndOp",
@@ -40,6 +42,10 @@ __all__ = [
 # the maxima-family defuzzifiers; flat tops produced by clipping are exact in
 # floating point only up to rounding.
 MAXIMA_TOLERANCE = 1e-9
+
+# Rows per chunk of FuzzySystem.evaluate_batch. Bounds the chunk's
+# N x resolution aggregate (64 x 1001 doubles, 0.5 MB) for any batch size.
+BATCH_ROWS = 64
 
 
 class FuzzyError(Exception):
@@ -257,6 +263,139 @@ def defuzzify(curve: AggregateCurve, method: DefuzzMethod) -> float:
     return _DEFUZZIFIERS[method](curve)
 
 
+class _CompiledSystem:
+    """A system as index arrays, evaluated one chunk of rows at a time.
+
+    Terms of all inputs form one flat table of T terms: trapezoids
+    ``(a, b, c, d)``, a triangle having ``b == c``, and Gaussians
+    ``(mean, sigma)``. Degrees are computed into an N x (T + 1) matrix whose
+    last column is the constant 1, so the R x k antecedent matrix pads short
+    rules with index T. Mamdani rules are sorted by consequent label, so one
+    ``np.maximum.reduceat`` turns rule strengths into clip levels; Sugeno
+    rules keep their order, with constants and an R x n slope matrix.
+    """
+
+    def __init__(self, system: "FuzzySystem") -> None:
+        trapezoids, trapezoid_terms, gaussians, gaussian_terms = [], [], [], []
+        term_input, term_index = [], {}
+        for column, var in enumerate(system.inputs):
+            for term in var.terms:
+                term_index[var.name, term.label] = len(term_input)
+                mf = term.mf
+                if isinstance(mf, Gaussian):
+                    gaussian_terms.append(len(term_input))
+                    gaussians.append((mf.mean, mf.sigma))
+                else:
+                    trapezoid_terms.append(len(term_input))
+                    if isinstance(mf, Triangular):
+                        trapezoids.append((mf.a, mf.b, mf.b, mf.c))
+                    else:
+                        trapezoids.append((mf.a, mf.b, mf.c, mf.d))
+                term_input.append(column)
+        self.lo = np.array([v.universe.lo for v in system.inputs])
+        self.hi = np.array([v.universe.hi for v in system.inputs])
+        self.n_terms = len(term_input)
+        self.trapezoid_terms = np.array(trapezoid_terms, dtype=np.intp)
+        self.trapezoid_input = np.array(term_input, dtype=np.intp)[self.trapezoid_terms]
+        a, b, c, d = np.array(trapezoids, dtype=float).reshape(-1, 4).T
+        # a zero-width edge is a step; its width of 1 is never used
+        self.trapezoids = (a, b, c, d, np.where(b > a, b - a, 1.0), np.where(d > c, d - c, 1.0))
+        self.gaussian_terms = np.array(gaussian_terms, dtype=np.intp)
+        self.gaussian_input = np.array(term_input, dtype=np.intp)[self.gaussian_terms]
+        self.gaussians = np.array(gaussians, dtype=float).reshape(-1, 2).T
+
+        self.and_op = system.config.and_op
+        self.mamdani = system.config.kind is EngineKind.MAMDANI
+        rules = list(system.rules)
+        if self.mamdani:
+            output = system.output
+            label_index = {t.label: i for i, t in enumerate(output.terms)}
+            labels = [label_index[output.term(rule.consequent).label] for rule in rules]
+            order = np.argsort(labels, kind="stable")
+            rules = [rules[r] for r in order]
+            labels = np.array(labels)[order]
+            self.label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            self.profiles = system._profiles[labels[self.label_starts]]
+            self.xs = system._xs
+        else:
+            self.output_range = (system.output.universe.lo, system.output.universe.hi)
+            names = system.input_names
+            self.constants = np.array([rule.consequent.constant for rule in rules])
+            self.slopes = np.zeros((len(rules), len(names)))
+            for r, rule in enumerate(rules):
+                for name, coeff in rule.consequent.coefficients:
+                    self.slopes[r, names.index(name)] += coeff
+        width = max(len(rule.antecedents) for rule in rules)
+        self.antecedents = np.full((len(rules), width), self.n_terms, dtype=np.intp)
+        for r, rule in enumerate(rules):
+            for j, (name, label) in enumerate(rule.antecedents):
+                var = system._inputs_by_name[name]
+                self.antecedents[r, j] = term_index[name, var.term(label).label]
+
+    def fuzzify(self, x: np.ndarray) -> np.ndarray:
+        """N x (T + 1) term degrees of clamped rows; the last column is 1."""
+        degrees = np.ones((len(x), self.n_terms + 1))
+        a, b, c, d, rise, fall = self.trapezoids
+        xt = x[:, self.trapezoid_input]
+        up = np.where(b > a, np.clip((xt - a) / rise, 0.0, 1.0), xt >= b)
+        down = np.where(d > c, np.clip((d - xt) / fall, 0.0, 1.0), xt <= c)
+        degrees[:, self.trapezoid_terms] = np.minimum(up, down)
+        mean, sigma = self.gaussians
+        z = (x[:, self.gaussian_input] - mean) / sigma
+        degrees[:, self.gaussian_terms] = np.exp(-0.5 * z * z)
+        return degrees
+
+    def fire(self, degrees: np.ndarray) -> np.ndarray:
+        """N x R rule strengths, conjoined in antecedent order."""
+        combine = np.minimum if self.and_op is AndOp.MIN else np.multiply
+        strengths = degrees[:, self.antecedents[:, 0]]
+        for j in range(1, self.antecedents.shape[1]):
+            combine(strengths, degrees[:, self.antecedents[:, j]], out=strengths)
+        return strengths
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """Crisp outputs of clamped rows, ``BATCH_ROWS`` at a time."""
+        out = np.empty(len(x))
+        if self.mamdani:
+            # two chunk-sized curve buffers, reused by every chunk
+            curves = np.empty((min(len(x), BATCH_ROWS), self.xs.size))
+            clipped = np.empty_like(curves)
+        for start in range(0, len(x), BATCH_ROWS):
+            chunk = x[start:start + BATCH_ROWS]
+            strengths = self.fire(self.fuzzify(chunk))
+            rows = slice(start, start + len(chunk))
+            if self.mamdani:
+                out[rows] = self.centroids(strengths, curves[:len(chunk)], clipped[:len(chunk)])
+            else:
+                out[rows] = self.weighted_averages(chunk, strengths)
+        return out
+
+    def centroids(self, strengths: np.ndarray, curves: np.ndarray,
+                  clipped: np.ndarray) -> np.ndarray:
+        """Clip each label at its strongest rule, max-aggregate, and take the
+        end-weighted centroid of each row, as ``defuzz_centroid`` does."""
+        levels = np.maximum.reduceat(strengths, self.label_starts, axis=1)
+        curves.fill(0.0)
+        for label, profile in enumerate(self.profiles):
+            np.minimum(levels[:, label, None], profile, out=clipped)
+            np.maximum(curves, clipped, out=curves)
+        curves[:, 0] *= 0.5
+        curves[:, -1] *= 0.5
+        totals = curves.sum(axis=1)
+        if not (totals > 0.0).all():
+            raise EmptyAggregateError("empty aggregate")
+        return curves @ self.xs / totals
+
+    def weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+        """Strength-weighted average of the affine consequents, clamped to the
+        output universe."""
+        values = self.constants + x @ self.slopes.T
+        totals = strengths.sum(axis=1)
+        if not (totals > 0.0).all():
+            raise EmptyAggregateError("empty aggregate")
+        return np.clip((strengths * values).sum(axis=1) / totals, *self.output_range)
+
+
 class FuzzySystem:
     """Inputs, output, rule list, and engine configuration, bound together.
 
@@ -282,9 +421,10 @@ class FuzzySystem:
         self._validate_rules()
         self._xs = output.universe.samples(config.resolution)
         if config.kind is EngineKind.MAMDANI:
-            self._term_profiles = {
-                t.label: t.mf.profile(self._xs) for t in output.terms
-            }
+            # one L x resolution matrix, which the compiled form gathers
+            # from; the per-label dict holds views of its rows
+            self._profiles = np.array([t.mf.profile(self._xs) for t in output.terms])
+            self._term_profiles = dict(zip(output.labels, self._profiles))
         else:
             self._term_profiles = {}
 
@@ -389,9 +529,41 @@ class FuzzySystem:
             total_wz += w * rule.consequent.value(assignments)
         if total_w == 0.0:
             raise EmptyAggregateError("empty aggregate")
-        return total_wz / total_w
+        return self.output.universe.clamp(total_wz / total_w)
 
     def evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
+        """One decision, rule by rule. Sugeno outputs, which affine
+        consequents can push outside the output universe, are clamped to it."""
         if self.config.kind is EngineKind.MAMDANI:
             return defuzzify(self.mamdani_aggregate(x), self.config.defuzz)
         return self.sugeno_evaluate(x)
+
+    @functools.cached_property
+    def _compiled(self) -> _CompiledSystem:
+        return _CompiledSystem(self)
+
+    def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
+        """Evaluate N rows at once: an N x n_inputs array, columns in
+        ``input_names`` order, to N crisp outputs.
+
+        Equal to ``evaluate`` on each row up to rounding: inputs are clamped
+        to their universes, a NaN raises a ``ValueError`` naming its input,
+        Sugeno outputs are clamped to the output universe, and a row whose
+        aggregate is empty raises ``EmptyAggregateError``. Rows are evaluated
+        ``BATCH_ROWS`` at a time. Mamdani systems must use the centroid.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != len(self.inputs):
+            raise ValueError(
+                f"expected an N x {len(self.inputs)} input array, got shape {x.shape}"
+            )
+        nan = np.isnan(x).any(axis=0)
+        if nan.any():
+            raise ValueError(f"input {self.input_names[int(np.argmax(nan))]!r} is NaN")
+        if (self.config.kind is EngineKind.MAMDANI
+                and self.config.defuzz is not DefuzzMethod.CENTROID):
+            raise ValueError(
+                f"evaluate_batch needs the centroid, not {self.config.defuzz.value}"
+            )
+        compiled = self._compiled
+        return compiled.evaluate(np.clip(x, compiled.lo, compiled.hi))

@@ -1,0 +1,185 @@
+"""FuzzySystem.evaluate_batch against the scalar evaluate it must equal."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fuzzycr.analysis import VariantId, build_system
+from fuzzycr.catalog import DECISION_INPUTS, DecisionId, sugeno_levels
+from fuzzycr.engine import (
+    BATCH_ROWS,
+    DefuzzMethod,
+    EmptyAggregateError,
+    EngineConfig,
+    EngineKind,
+    FuzzySystem,
+    Rule,
+    SugenoConsequent,
+)
+from fuzzycr.membership import (
+    Gaussian,
+    LinguisticTerm,
+    LinguisticVariable,
+    TrapezoidShoulder,
+    Triangular,
+    Universe,
+)
+
+PAIRS = [(d, v) for d in DecisionId for v in VariantId]
+PARITY = 1e-9
+
+system = functools.cache(build_system)
+
+# Inputs beyond the universe on both sides, the infinities, and lattice points
+# where terms peak and cross.
+values = st.one_of(
+    st.floats(-20.0, 120.0),
+    st.sampled_from([-np.inf, np.inf]),
+    st.integers(0, 20).map(lambda i: 5.0 * i),
+)
+
+
+def rows_for(decision, min_rows=1, max_rows=8):
+    width = len(DECISION_INPUTS[decision])
+    return st.lists(
+        st.lists(values, min_size=width, max_size=width),
+        min_size=min_rows, max_size=max_rows,
+    )
+
+
+@st.composite
+def pair_and_rows(draw):
+    decision, variant = draw(st.sampled_from(PAIRS))
+    return decision, variant, np.array(draw(rows_for(decision)))
+
+
+def scalar(fs, x):
+    return np.array([fs.evaluate(list(row)) for row in x])
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_and_rows())
+def test_batch_equals_scalar(case):
+    decision, variant, x = case
+    fs = system(decision, variant)
+    assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
+
+
+@pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
+def test_batch_equals_scalar_across_chunks(decision, variant):
+    # more rows than one chunk, and a row count that leaves a partial chunk
+    rng = np.random.default_rng(7)
+    fs = system(decision, variant)
+    x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 5, len(fs.inputs)))
+    x[::3] = np.round(x[::3] / 5.0) * 5.0
+    assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
+
+
+@st.composite
+def affine_case(draw):
+    decision = draw(st.sampled_from(list(DecisionId)))
+    width = len(DECISION_INPUTS[decision])
+    number = st.floats(-1000.0, 1000.0)
+    consequents = {
+        label: (draw(number), *draw(st.lists(st.floats(-50.0, 50.0), max_size=width)))
+        for label in sugeno_levels(decision)
+    }
+    return decision, consequents, np.array(draw(rows_for(decision)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_case())
+def test_linear_sugeno_stays_in_the_universe(case):
+    decision, consequents, x = case
+    fs = build_system(decision, VariantId.LINEAR_SUGENO, sugeno_consequents=consequents)
+    batch = fs.evaluate_batch(x)
+    assert ((0.0 <= batch) & (batch <= 100.0)).all()
+    assert np.abs(batch - scalar(fs, x)).max() <= PARITY
+
+
+@settings(max_examples=50, deadline=None)
+@given(pair_and_rows())
+def test_every_output_stays_in_the_universe(case):
+    decision, variant, x = case
+    batch = system(decision, variant).evaluate_batch(x)
+    assert ((0.0 <= batch) & (batch <= 100.0)).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(pair_and_rows(), st.data())
+def test_nan_in_any_row_is_named(case, data):
+    decision, variant, x = case
+    fs = system(decision, variant)
+    row = data.draw(st.integers(0, len(x) - 1))
+    column = data.draw(st.integers(0, x.shape[1] - 1))
+    x[row, column] = np.nan
+    with pytest.raises(ValueError, match=f"input '{fs.input_names[column]}' is NaN"):
+        fs.evaluate_batch(x)
+
+
+def test_wrong_shapes_are_rejected():
+    fs = system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match="N x 2"):
+            fs.evaluate_batch(bad)
+    assert fs.evaluate_batch(np.zeros((0, 2))).shape == (0,)
+
+
+U = Universe(0, 100)
+X_VAR = LinguisticVariable(
+    "x", U,
+    (LinguisticTerm("Lo", Triangular(0, 0, 100)), LinguisticTerm("Hi", Triangular(0, 100, 100))),
+)
+Y_VAR = LinguisticVariable(
+    "y", U,
+    (LinguisticTerm("Low", Triangular(0, 0, 60)), LinguisticTerm("High", Triangular(40, 100, 100))),
+    "output",
+)
+
+
+@pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
+def test_mixed_shapes_and_rule_lengths_match_scalar(config):
+    # trapezoid, step-edged triangle and Gaussian terms in one input; rules
+    # of one and two antecedents
+    mixed = LinguisticVariable(
+        "m", U,
+        (
+            LinguisticTerm("Low", TrapezoidShoulder(0, 0, 20, 50)),
+            LinguisticTerm("Mid", Gaussian(50, 15)),
+            LinguisticTerm("High", Triangular(50, 100, 100)),
+        ),
+    )
+    consequents = ["Low", "High", "High", "Low"]
+    if config.kind is EngineKind.SUGENO:
+        consequents = [SugenoConsequent(c, (("m", 0.3),)) for c in (10.0, 90.0, 70.0, 5.0)]
+    rules = [
+        Rule.of({"x": "Lo"}, consequents[0]),
+        Rule.of({"m": "Mid", "x": "Hi"}, consequents[1]),
+        Rule.of({"x": "Hi", "m": "High"}, consequents[2]),
+        Rule.of({"m": "Low"}, consequents[3]),
+    ]
+    fs = FuzzySystem([X_VAR, mixed], Y_VAR, rules, config)
+    x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
+    assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
+
+
+def test_empty_aggregate_raises():
+    mamdani = FuzzySystem([X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, "High")], EngineConfig.mamdani())
+    sugeno = FuzzySystem(
+        [X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, SugenoConsequent(50.0))], EngineConfig.sugeno()
+    )
+    for fs in (mamdani, sugeno):
+        assert fs.evaluate_batch([[100.0]])[0] == fs.evaluate([100.0])
+        with pytest.raises(EmptyAggregateError, match="empty aggregate"):
+            fs.evaluate_batch([[100.0], [0.0]])
+
+
+def test_non_centroid_mamdani_is_rejected():
+    fs = FuzzySystem(
+        [X_VAR], Y_VAR, [Rule.of({"x": "Lo"}, "Low")],
+        EngineConfig.mamdani(defuzz=DefuzzMethod.BISECTOR),
+    )
+    with pytest.raises(ValueError, match="centroid"):
+        fs.evaluate_batch([[10.0]])

@@ -110,11 +110,15 @@ class TestTables:
 
 
 class TestSweepAndSurface:
-    def test_sweep_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def fail_batches(monkeypatch):
         def fail(self, x):
             raise EmptyAggregateError("empty aggregate")
 
-        monkeypatch.setattr(FuzzySystem, "evaluate", fail)
+        monkeypatch.setattr(FuzzySystem, "evaluate_batch", fail)
+
+    def test_sweep_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        self.fail_batches(monkeypatch)
         out = tmp_path / "sweep.csv"
         code, _, err = run_cli(
             "sweep", "--decision", "handoff-status", "--vary", "snr",
@@ -125,6 +129,20 @@ class TestSweepAndSurface:
             "error: handoff-status/constant-sugeno failed at snr=10: empty aggregate\n"
         )
         assert not out.exists()
+
+    def test_surface_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        self.fail_batches(monkeypatch)
+        code, _, err = run_cli(
+            "surface", "--decision", "handoff-status", "--vary-a", "snr",
+            "--vary-b", "interference", "--variants", "constant-sugeno",
+            "--out-dir", str(tmp_path), capsys=capsys,
+        )
+        assert code == 1
+        assert err == (
+            "error: handoff-status/constant-sugeno failed at snr=0, interference=0: "
+            "empty aggregate\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_oversized_grids_fail_fast(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -360,10 +378,43 @@ class TestConfigFile:
         code, out, _ = self.eval_handoff(capsys, "linear-sugeno", path)
         assert code == 0
         assert out.strip() == "17.84"
+        # 0 + 5*50 + 5*50 leaves the universe and is clamped to it
         path.write_text("[sugeno.handoff-status]\nOn = 0, 5, 5\n")
-        assert self.eval_handoff(capsys, "linear-sugeno", path)[1].strip() == "446"
+        assert self.eval_handoff(capsys, "linear-sugeno", path)[1].strip() == "100"
         # constant-sugeno stays the catalog baseline
         assert self.eval_handoff(capsys, "constant-sugeno", path)[1].strip() == "89.19"
+
+    def test_sugeno_section_reaches_every_subcommand(self, tmp_path, capsys):
+        path = tmp_path / "fuzzycr.conf"
+        path.write_text("[sugeno.handoff-status]\nOn = 20\n")
+
+        def linear_sugeno_outputs(*config):
+            out = tmp_path / ("with" if config else "without")
+            out.mkdir()
+            assert run_cli(*config, "sweep", "--decision", "handoff-status",
+                           "--vary", "snr", "--grid", "50", "--variants", "linear-sugeno",
+                           "--out", str(out / "sweep.csv"), capsys=capsys)[0] == 0
+            assert run_cli(*config, "surface", "--decision", "handoff-status",
+                           "--vary-a", "snr", "--vary-b", "interference", "--step", "50",
+                           "--variants", "linear-sugeno", "--out-dir", str(out),
+                           capsys=capsys)[0] == 0
+            assert run_cli(*config, "tables", "--out-dir", str(out), capsys=capsys)[0] == 0
+            sweep = out / "sweep.csv"
+            surface = out / "surface_handoff-status_snr_interference_linear-sugeno.csv"
+            # table12 sweeps snr for handoff status; its last column is linear-sugeno
+            table = out / "table12.csv"
+            return (
+                float(sweep.read_text().splitlines()[1].split(",")[1]),
+                float(surface.read_text().splitlines()[2].split(",")[2]),
+                [line.split(",")[-1] for line in table.read_text().splitlines()[1:]],
+            )
+
+        sweep, surface, table = linear_sugeno_outputs()
+        assert f"{sweep:.4g}" == f"{surface:.4g}" == "89.19"
+        sweep, surface, configured_table = linear_sugeno_outputs("--config", str(path))
+        # the midpoint of the sweep and of the surface is the eval default
+        assert f"{sweep:.4g}" == f"{surface:.4g}" == "17.84"
+        assert all(a != b for a, b in zip(table, configured_table))
 
     def test_sugeno_section_unknown_label_fails(self, tmp_path, capsys):
         path = tmp_path / "fuzzycr.conf"
