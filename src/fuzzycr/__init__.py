@@ -33,8 +33,6 @@ from .catalog import (
 )
 from .engine import (
     AggregateCurve,
-    AndOp,
-    DefuzzMethod,
     EmptyAggregateError,
     EngineConfig,
     EngineKind,
@@ -42,11 +40,7 @@ from .engine import (
     FuzzySystem,
     Rule,
     SugenoConsequent,
-    defuzz_bisector,
     defuzz_centroid,
-    defuzz_largest_of_maxima,
-    defuzz_mean_of_maxima,
-    defuzz_smallest_of_maxima,
     defuzzify,
     firing_strength,
 )
@@ -55,7 +49,6 @@ from .membership import (
     LinguisticTerm,
     LinguisticVariable,
     Triangular,
-    TrapezoidShoulder,
     Universe,
 )
 from .metrics import (

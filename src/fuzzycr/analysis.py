@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog, sugeno_levels
-from .engine import AndOp, EngineConfig, FuzzyError, FuzzySystem, Rule, SugenoConsequent
+from .engine import EngineConfig, FuzzyError, FuzzySystem, Rule, SugenoConsequent
 from .membership import normalize_label
 from .ruledsl import builtin_rulebase
 
@@ -72,7 +72,6 @@ def build_system(
     decision: DecisionId,
     variant: VariantId,
     resolution: int = 1001,
-    and_op: AndOp | None = None,
     sugeno_consequents: Mapping[str, Sequence[float]] | None = None,
 ) -> FuzzySystem:
     """Assemble one decision system from the catalog and its built-in rules.
@@ -104,9 +103,9 @@ def build_system(
             consequents[label] = tuple(values)
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
     if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
-        config = EngineConfig.mamdani(and_op=and_op or AndOp.MIN, resolution=resolution)
+        config = EngineConfig.mamdani(resolution)
     else:
-        config = EngineConfig.sugeno(and_op=and_op or AndOp.PRODUCT, resolution=resolution)
+        config = EngineConfig.sugeno(resolution)
         affine = {
             label: SugenoConsequent(constant, tuple(zip(input_names, slopes)))
             for label, (constant, *slopes) in consequents.items()
@@ -146,9 +145,6 @@ class SweepResult:
 
     def column(self, variant: VariantId) -> list[float]:
         return [values[variant] for _, values in self.rows]
-
-    def grid_values(self) -> list[float]:
-        return [x for x, _ in self.rows]
 
 
 SystemFactory = Callable[[DecisionId, VariantId], FuzzySystem]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,8 +33,7 @@ from .analysis import (
     surface_grid,
 )
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog
-from .engine import AndOp, FuzzyError
-from .metrics import CalibrationRange
+from .engine import FuzzyError
 from .ruledsl import RuleParseError, parse_catalog_rules
 from .svgplot import write_line_chart
 
@@ -61,11 +61,7 @@ class CliConfig:
     fixed_value: float = DEFAULT_FIXED
     grid: tuple[float, ...] | None = None
     variant: VariantId | None = None
-    decision: DecisionId | None = None
-    mamdani_and_op: AndOp | None = None
-    sugeno_and_op: AndOp | None = None
     output_dir: Path | None = None
-    calibration: dict[str, CalibrationRange] = field(default_factory=dict)
     sugeno_coefficients: dict[DecisionId, dict[str, tuple[float, ...]]] = field(
         default_factory=dict
     )
@@ -96,10 +92,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def load_config(path: Path) -> CliConfig:
     """Parse the line-oriented config format.
 
-    Top-level ``key = value`` pairs, a ``[calibration]`` section mapping
-    input names to ``raw_lo, raw_hi``, and ``[sugeno.<decision>]`` sections
-    mapping consequent labels to ``constant, slope...`` (slopes follow the
-    decision's input order). Unknown keys are rejected.
+    Top-level ``key = value`` pairs (the keys of ``_SCALAR_KEYS``) and
+    ``[sugeno.<decision>]`` sections mapping consequent labels to
+    ``constant, slope...`` (slopes follow the decision's input order).
+    Unknown keys and sections are rejected.
     """
     config = CliConfig()
     section: str | None = None
@@ -109,7 +105,7 @@ def load_config(path: Path) -> CliConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section != "calibration" and not section.startswith("sugeno."):
+            if not section.startswith("sugeno."):
                 raise CliError(f"{path}:{line_no}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -120,9 +116,6 @@ def load_config(path: Path) -> CliConfig:
         try:
             if section is None:
                 _apply_scalar(config, key, value)
-            elif section == "calibration":
-                lo, hi = (float(p) for p in value.split(","))
-                config.calibration[key] = CalibrationRange(lo, hi)
             else:
                 decision = DecisionId.parse(section.split(".", 1)[1])
                 numbers = tuple(float(p) for p in value.split(","))
@@ -134,26 +127,21 @@ def load_config(path: Path) -> CliConfig:
     return config
 
 
+# Top-level config keys, each the name of the ``CliConfig`` field it sets,
+# with the parser of its value.
+_SCALAR_KEYS = {
+    "resolution": int,
+    "fixed_value": float,
+    "grid": _parse_grid,
+    "variant": VariantId.parse,
+    "output_dir": Path,
+}
+
+
 def _apply_scalar(config: CliConfig, key: str, value: str) -> None:
-    if key == "resolution":
-        config.resolution = int(value)
-    elif key == "fixed_value":
-        config.fixed_value = float(value)
-    elif key == "grid":
-        config.grid = _parse_grid(value)
-    elif key == "variant":
-        config.variant = VariantId.parse(value)
-    elif key == "decision":
-        config.decision = DecisionId.parse(value)
-    elif key in ("mamdani_and_op", "sugeno_and_op"):
-        op = AndOp.MIN if value.lower() == "min" else AndOp.PRODUCT
-        if value.lower() not in ("min", "product"):
-            raise CliError(f"and op must be min or product, got {value!r}")
-        setattr(config, key, op)
-    elif key == "output_dir":
-        config.output_dir = Path(value)
-    else:
+    if key not in _SCALAR_KEYS:
         raise CliError(f"unknown config key {key!r}")
+    setattr(config, key, _SCALAR_KEYS[key](value))
 
 
 def _output_dir(config: CliConfig, flag: str | None) -> Path:
@@ -166,15 +154,10 @@ def _output_dir(config: CliConfig, flag: str | None) -> Path:
 
 
 def _system_for(config: CliConfig, decision: DecisionId, variant: VariantId):
-    if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
-        and_op = config.mamdani_and_op
-    else:
-        and_op = config.sugeno_and_op
     return build_system(
         decision,
         variant,
         resolution=config.resolution,
-        and_op=and_op,
         sugeno_consequents=config.sugeno_coefficients.get(decision),
     )
 
@@ -321,9 +304,13 @@ def _read_sweep_csv(path: Path) -> tuple[list[str], list[list[float]]]:
                 f"{path}: row {row_no} has {len(cells)} cells, expected {len(header)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise CliError(f"{path}: row {row_no}: {exc}") from exc
+        for name, value in zip(header, row):
+            if not math.isfinite(value):
+                raise CliError(f"{path}: row {row_no}, column {name!r}: {value} is not finite")
+        rows.append(row)
     if not rows:
         raise CliError(f"{path}: no data rows")
     return header, rows

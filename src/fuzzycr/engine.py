@@ -15,11 +15,9 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .membership import Gaussian, LinguisticVariable, Triangular, Universe
+from .membership import Gaussian, LinguisticVariable
 
 __all__ = [
-    "AndOp",
-    "DefuzzMethod",
     "EngineKind",
     "EngineConfig",
     "SugenoConsequent",
@@ -32,16 +30,7 @@ __all__ = [
     "aggregate_clipped",
     "defuzzify",
     "defuzz_centroid",
-    "defuzz_bisector",
-    "defuzz_mean_of_maxima",
-    "defuzz_smallest_of_maxima",
-    "defuzz_largest_of_maxima",
 ]
-
-# Clip levels within this distance of the curve maximum count as maximal for
-# the maxima-family defuzzifiers; flat tops produced by clipping are exact in
-# floating point only up to rounding.
-MAXIMA_TOLERANCE = 1e-9
 
 # Rows per chunk of FuzzySystem.evaluate_batch. Bounds the chunk's
 # N x resolution aggregate (64 x 1001 doubles, 0.5 MB) for any batch size.
@@ -61,28 +50,14 @@ class EngineKind(Enum):
     SUGENO = "sugeno"
 
 
-class AndOp(Enum):
-    MIN = "min"
-    PRODUCT = "product"
-
-
-class DefuzzMethod(Enum):
-    CENTROID = "centroid"
-    BISECTOR = "bisector"
-    MEAN_OF_MAXIMA = "mom"
-    SMALLEST_OF_MAXIMA = "som"
-    LARGEST_OF_MAXIMA = "lom"
-
-
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine wiring: conjunction, defuzzifier, and the sample count used for
-    the output universe. Mamdani systems always clip by min and aggregate by
-    max."""
+    """Engine kind and the sample count of the output universe. The kind
+    fixes the rest: Mamdani conjoins, clips and aggregates by min/min/max and
+    takes the centroid (Mamdani & Assilian); Sugeno conjoins by product and
+    takes the weighted average (Takagi & Sugeno)."""
 
     kind: EngineKind
-    and_op: AndOp
-    defuzz: DefuzzMethod = DefuzzMethod.CENTROID
     resolution: int = 1001
 
     def __post_init__(self) -> None:
@@ -92,16 +67,12 @@ class EngineConfig:
             )
 
     @staticmethod
-    def mamdani(
-        defuzz: DefuzzMethod = DefuzzMethod.CENTROID,
-        and_op: AndOp = AndOp.MIN,
-        resolution: int = 1001,
-    ) -> "EngineConfig":
-        return EngineConfig(EngineKind.MAMDANI, and_op, defuzz, resolution=resolution)
+    def mamdani(resolution: int = 1001) -> "EngineConfig":
+        return EngineConfig(EngineKind.MAMDANI, resolution)
 
     @staticmethod
-    def sugeno(and_op: AndOp = AndOp.PRODUCT, resolution: int = 1001) -> "EngineConfig":
-        return EngineConfig(EngineKind.SUGENO, and_op, resolution=resolution)
+    def sugeno(resolution: int = 1001) -> "EngineConfig":
+        return EngineConfig(EngineKind.SUGENO, resolution)
 
 
 @dataclass(frozen=True)
@@ -155,15 +126,16 @@ class Rule:
 
 
 def firing_strength(
-    rule: Rule, fuzzified: Mapping[str, Mapping[str, float]], and_op: AndOp
+    rule: Rule, fuzzified: Mapping[str, Mapping[str, float]], kind: EngineKind
 ) -> float:
-    """Combine a rule's antecedent degrees with the chosen conjunction."""
+    """Conjoin a rule's antecedent degrees: min for Mamdani, product for
+    Sugeno."""
     strength = 1.0
     for name, label in rule.antecedents:
         if name not in fuzzified:
             raise FuzzyError(f"no fuzzified value for variable {name!r}")
         degree = fuzzified[name][label]
-        if and_op is AndOp.MIN:
+        if kind is EngineKind.MAMDANI:
             strength = min(strength, degree)
         else:
             strength *= degree
@@ -221,62 +193,24 @@ def defuzz_centroid(curve: AggregateCurve) -> float:
     return float(np.dot(curve.xs, weighted) / total)
 
 
-def defuzz_bisector(curve: AggregateCurve) -> float:
-    """First sample where the running area reaches half the total area."""
-    total = float(curve.degrees.sum())
-    if total <= 0.0:
-        raise EmptyAggregateError("empty aggregate")
-    cumulative = np.cumsum(curve.degrees)
-    idx = int(np.searchsorted(cumulative, 0.5 * total))
-    return float(curve.xs[idx])
-
-
-def _maxima(curve: AggregateCurve) -> np.ndarray:
-    top = curve.max_degree()
-    if top <= 0.0:
-        raise EmptyAggregateError("empty aggregate")
-    return curve.xs[curve.degrees >= top - MAXIMA_TOLERANCE]
-
-
-def defuzz_mean_of_maxima(curve: AggregateCurve) -> float:
-    return float(_maxima(curve).mean())
-
-
-def defuzz_smallest_of_maxima(curve: AggregateCurve) -> float:
-    return float(_maxima(curve)[0])
-
-
-def defuzz_largest_of_maxima(curve: AggregateCurve) -> float:
-    return float(_maxima(curve)[-1])
-
-
-_DEFUZZIFIERS = {
-    DefuzzMethod.CENTROID: defuzz_centroid,
-    DefuzzMethod.BISECTOR: defuzz_bisector,
-    DefuzzMethod.MEAN_OF_MAXIMA: defuzz_mean_of_maxima,
-    DefuzzMethod.SMALLEST_OF_MAXIMA: defuzz_smallest_of_maxima,
-    DefuzzMethod.LARGEST_OF_MAXIMA: defuzz_largest_of_maxima,
-}
-
-
-def defuzzify(curve: AggregateCurve, method: DefuzzMethod) -> float:
-    return _DEFUZZIFIERS[method](curve)
+# the only defuzzifier; callers import it by name, stage tracers hook "defuzzify"
+defuzzify = defuzz_centroid
 
 
 class _CompiledSystem:
     """A system as index arrays, evaluated one chunk of rows at a time.
 
-    Terms of all inputs form one flat table of T terms: trapezoids
-    ``(a, b, c, d)``, a triangle having ``b == c``, and Gaussians
-    ``(mean, sigma)``. Degrees are computed into an N x (T + 1) matrix whose
-    last column is the constant 1, so the R x k antecedent matrix pads short
-    rules with index T. Mamdani rules are sorted by consequent label, so one
-    ``np.maximum.reduceat`` turns rule strengths into clip levels; Sugeno
-    rules keep their order, with constants and an R x n slope matrix.
+    Terms of all inputs form one flat table of T terms: triangles
+    ``(a, b, c)`` and Gaussians ``(mean, sigma)``. Degrees are computed into
+    an N x (T + 1) matrix whose last column is the constant 1, so the R x k
+    antecedent matrix pads short rules with index T. Mamdani rules are sorted
+    by consequent label, so one ``np.maximum.reduceat`` turns rule strengths
+    into clip levels; Sugeno rules keep their order, with constants and an
+    R x n slope matrix.
     """
 
     def __init__(self, system: "FuzzySystem") -> None:
-        trapezoids, trapezoid_terms, gaussians, gaussian_terms = [], [], [], []
+        triangles, triangle_terms, gaussians, gaussian_terms = [], [], [], []
         term_input, term_index = [], {}
         for column, var in enumerate(system.inputs):
             for term in var.terms:
@@ -286,31 +220,26 @@ class _CompiledSystem:
                     gaussian_terms.append(len(term_input))
                     gaussians.append((mf.mean, mf.sigma))
                 else:
-                    trapezoid_terms.append(len(term_input))
-                    if isinstance(mf, Triangular):
-                        trapezoids.append((mf.a, mf.b, mf.b, mf.c))
-                    else:
-                        trapezoids.append((mf.a, mf.b, mf.c, mf.d))
+                    triangle_terms.append(len(term_input))
+                    triangles.append((mf.a, mf.b, mf.c))
                 term_input.append(column)
         self.lo = np.array([v.universe.lo for v in system.inputs])
         self.hi = np.array([v.universe.hi for v in system.inputs])
         self.n_terms = len(term_input)
-        self.trapezoid_terms = np.array(trapezoid_terms, dtype=np.intp)
-        self.trapezoid_input = np.array(term_input, dtype=np.intp)[self.trapezoid_terms]
-        a, b, c, d = np.array(trapezoids, dtype=float).reshape(-1, 4).T
+        self.triangle_terms = np.array(triangle_terms, dtype=np.intp)
+        self.triangle_input = np.array(term_input, dtype=np.intp)[self.triangle_terms]
+        a, b, c = np.array(triangles, dtype=float).reshape(-1, 3).T
         # a zero-width edge is a step; its width of 1 is never used
-        self.trapezoids = (a, b, c, d, np.where(b > a, b - a, 1.0), np.where(d > c, d - c, 1.0))
+        self.triangles = (a, b, c, np.where(b > a, b - a, 1.0), np.where(c > b, c - b, 1.0))
         self.gaussian_terms = np.array(gaussian_terms, dtype=np.intp)
         self.gaussian_input = np.array(term_input, dtype=np.intp)[self.gaussian_terms]
         self.gaussians = np.array(gaussians, dtype=float).reshape(-1, 2).T
 
-        self.and_op = system.config.and_op
         self.mamdani = system.config.kind is EngineKind.MAMDANI
         rules = list(system.rules)
         if self.mamdani:
-            output = system.output
-            label_index = {t.label: i for i, t in enumerate(output.terms)}
-            labels = [label_index[output.term(rule.consequent).label] for rule in rules]
+            label_index = {label: i for i, label in enumerate(system.output.labels)}
+            labels = [label_index[rule.consequent] for rule in rules]
             order = np.argsort(labels, kind="stable")
             rules = [rules[r] for r in order]
             labels = np.array(labels)[order]
@@ -328,18 +257,17 @@ class _CompiledSystem:
         width = max(len(rule.antecedents) for rule in rules)
         self.antecedents = np.full((len(rules), width), self.n_terms, dtype=np.intp)
         for r, rule in enumerate(rules):
-            for j, (name, label) in enumerate(rule.antecedents):
-                var = system._inputs_by_name[name]
-                self.antecedents[r, j] = term_index[name, var.term(label).label]
+            for j, antecedent in enumerate(rule.antecedents):
+                self.antecedents[r, j] = term_index[antecedent]
 
     def fuzzify(self, x: np.ndarray) -> np.ndarray:
         """N x (T + 1) term degrees of clamped rows; the last column is 1."""
         degrees = np.ones((len(x), self.n_terms + 1))
-        a, b, c, d, rise, fall = self.trapezoids
-        xt = x[:, self.trapezoid_input]
+        a, b, c, rise, fall = self.triangles
+        xt = x[:, self.triangle_input]
         up = np.where(b > a, np.clip((xt - a) / rise, 0.0, 1.0), xt >= b)
-        down = np.where(d > c, np.clip((d - xt) / fall, 0.0, 1.0), xt <= c)
-        degrees[:, self.trapezoid_terms] = np.minimum(up, down)
+        down = np.where(c > b, np.clip((c - xt) / fall, 0.0, 1.0), xt <= b)
+        degrees[:, self.triangle_terms] = np.minimum(up, down)
         mean, sigma = self.gaussians
         z = (x[:, self.gaussian_input] - mean) / sigma
         degrees[:, self.gaussian_terms] = np.exp(-0.5 * z * z)
@@ -347,7 +275,7 @@ class _CompiledSystem:
 
     def fire(self, degrees: np.ndarray) -> np.ndarray:
         """N x R rule strengths, conjoined in antecedent order."""
-        combine = np.minimum if self.and_op is AndOp.MIN else np.multiply
+        combine = np.minimum if self.mamdani else np.multiply
         strengths = degrees[:, self.antecedents[:, 0]]
         for j in range(1, self.antecedents.shape[1]):
             combine(strengths, degrees[:, self.antecedents[:, j]], out=strengths)
@@ -413,12 +341,11 @@ class FuzzySystem:
     ) -> None:
         self.inputs = tuple(inputs)
         self.output = output
-        self.rules = tuple(rules)
         self.config = config
         self._inputs_by_name = {v.name: v for v in self.inputs}
         if len(self._inputs_by_name) != len(self.inputs):
             raise ValueError("input variable names must be unique")
-        self._validate_rules()
+        self.rules = self._resolve_rules(rules)
         self._xs = output.universe.samples(config.resolution)
         if config.kind is EngineKind.MAMDANI:
             # one L x resolution matrix, which the compiled form gathers
@@ -432,37 +359,41 @@ class FuzzySystem:
     def input_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.inputs)
 
-    @property
-    def output_name(self) -> str:
-        return self.output.name
-
-    @property
-    def output_universe(self) -> Universe:
-        return self.output.universe
-
-    def _validate_rules(self) -> None:
-        if not self.rules:
+    def _resolve_rules(self, rules: Sequence[Rule]) -> tuple[Rule, ...]:
+        """Check each rule against the variables and return the rules with
+        the variables' own spelling of every label (see
+        ``LinguisticVariable.term``), so evaluation looks labels up verbatim.
+        Unknown labels raise ``KeyError``."""
+        if not rules:
             raise ValueError("system needs at least one rule")
-        for rule in self.rules:
+        resolved = []
+        for rule in rules:
             if len(rule.antecedents) > len(self.inputs):
                 raise ValueError(f"rule has more antecedents than inputs: {rule}")
+            antecedents = []
             for name, label in rule.antecedents:
                 var = self._inputs_by_name.get(name)
                 if var is None:
                     raise ValueError(f"rule references unknown input {name!r}")
-                var.term(label)  # raises on unknown label
+                antecedents.append((name, var.term(label).label))
+            antecedents = tuple(antecedents)
+            consequent = rule.consequent
             if self.config.kind is EngineKind.MAMDANI:
-                if not isinstance(rule.consequent, str):
+                if not isinstance(consequent, str):
                     raise ValueError("Mamdani rules need a label consequent")
-                self.output.term(rule.consequent)
+                consequent = self.output.term(consequent).label
             else:
-                if not isinstance(rule.consequent, SugenoConsequent):
+                if not isinstance(consequent, SugenoConsequent):
                     raise ValueError("Sugeno rules need an affine consequent")
-                for name, _ in rule.consequent.coefficients:
+                for name, _ in consequent.coefficients:
                     if name not in self._inputs_by_name:
                         raise ValueError(
                             f"consequent references unknown input {name!r}"
                         )
+            if (antecedents, consequent) != (rule.antecedents, rule.consequent):
+                rule = Rule(antecedents, consequent)
+            resolved.append(rule)
+        return tuple(resolved)
 
     def assignments(self, x: Union[Sequence[float], Mapping[str, float]]) -> dict[str, float]:
         """Resolve positional or named inputs to a name -> value mapping.
@@ -507,7 +438,7 @@ class FuzzySystem:
         fuzzified = self.fuzzify(self.assignments(x))
         clip_levels: dict[str, float] = {}
         for rule in self.rules:
-            w = firing_strength(rule, fuzzified, self.config.and_op)
+            w = firing_strength(rule, fuzzified, self.config.kind)
             label = rule.consequent
             if w > clip_levels.get(label, 0.0):
                 clip_levels[label] = w
@@ -522,7 +453,7 @@ class FuzzySystem:
         total_w = 0.0
         total_wz = 0.0
         for rule in self.rules:
-            w = firing_strength(rule, fuzzified, self.config.and_op)
+            w = firing_strength(rule, fuzzified, self.config.kind)
             if w == 0.0:
                 continue
             total_w += w
@@ -535,7 +466,7 @@ class FuzzySystem:
         """One decision, rule by rule. Sugeno outputs, which affine
         consequents can push outside the output universe, are clamped to it."""
         if self.config.kind is EngineKind.MAMDANI:
-            return defuzzify(self.mamdani_aggregate(x), self.config.defuzz)
+            return defuzzify(self.mamdani_aggregate(x))
         return self.sugeno_evaluate(x)
 
     @functools.cached_property
@@ -550,7 +481,7 @@ class FuzzySystem:
         to their universes, a NaN raises a ``ValueError`` naming its input,
         Sugeno outputs are clamped to the output universe, and a row whose
         aggregate is empty raises ``EmptyAggregateError``. Rows are evaluated
-        ``BATCH_ROWS`` at a time. Mamdani systems must use the centroid.
+        ``BATCH_ROWS`` at a time.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(self.inputs):
@@ -560,10 +491,5 @@ class FuzzySystem:
         nan = np.isnan(x).any(axis=0)
         if nan.any():
             raise ValueError(f"input {self.input_names[int(np.argmax(nan))]!r} is NaN")
-        if (self.config.kind is EngineKind.MAMDANI
-                and self.config.defuzz is not DefuzzMethod.CENTROID):
-            raise ValueError(
-                f"evaluate_batch needs the centroid, not {self.config.defuzz.value}"
-            )
         compiled = self._compiled
         return compiled.evaluate(np.clip(x, compiled.lo, compiled.hi))

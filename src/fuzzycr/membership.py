@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "Universe",
     "Triangular",
-    "TrapezoidShoulder",
     "Gaussian",
     "MembershipFunction",
     "LinguisticTerm",
@@ -101,37 +100,6 @@ class Triangular:
 
 
 @dataclass(frozen=True)
-class TrapezoidShoulder:
-    """Flat-topped shape: ramps up over [a, b], holds 1 on [b, c], ramps down
-    over [c, d]."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if not (self.a <= self.b <= self.c <= self.d):
-            raise ValueError(f"trapezoid needs a <= b <= c <= d, got {self}")
-        if not self.b < self.c:
-            raise ValueError(f"trapezoid top must have width, got {self}")
-
-    @property
-    def peak(self) -> float:
-        return 0.5 * (self.b + self.c)
-
-    @property
-    def ramp_width(self) -> float:
-        return max(self.b - self.a, self.d - self.c)
-
-    def profile(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(_ramp_up(x, self.a, self.b), _ramp_down(x, self.c, self.d))
-
-    def degree(self, x: float) -> float:
-        return float(self.profile(np.asarray(x, dtype=float)))
-
-
-@dataclass(frozen=True)
 class Gaussian:
     """Bell curve exp(-(x - mean)^2 / (2 sigma^2)); never reaches zero."""
 
@@ -142,10 +110,6 @@ class Gaussian:
         if not self.sigma > 0:
             raise ValueError(f"gaussian needs sigma > 0, got {self.sigma}")
 
-    @property
-    def peak(self) -> float:
-        return self.mean
-
     def profile(self, x: np.ndarray) -> np.ndarray:
         z = (x - self.mean) / self.sigma
         return np.exp(-0.5 * z * z)
@@ -155,7 +119,7 @@ class Gaussian:
         return math.exp(-0.5 * z * z)
 
 
-MembershipFunction = Union[Triangular, TrapezoidShoulder, Gaussian]
+MembershipFunction = Union[Triangular, Gaussian]
 
 
 @dataclass(frozen=True)

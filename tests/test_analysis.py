@@ -16,7 +16,7 @@ from fuzzycr.analysis import (
     surface_grid,
     trend_violations,
 )
-from fuzzycr.engine import AndOp, DefuzzMethod, EngineConfig, FuzzySystem, Rule
+from fuzzycr.engine import EngineConfig, EngineKind, FuzzySystem, Rule
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
 from fuzzycr.catalog import DecisionId
 
@@ -24,12 +24,11 @@ from fuzzycr.catalog import DecisionId
 class TestBuildSystem:
     def test_variant_configurations(self):
         tri = build_system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
-        assert tri.config.and_op is AndOp.MIN
-        assert tri.config.defuzz is DefuzzMethod.CENTROID
+        assert tri.config.kind is EngineKind.MAMDANI
         gauss = build_system(DecisionId.HANDOFF_STATUS, VariantId.GAUSSIAN_MAMDANI)
         assert type(gauss.inputs[0].term("Moderate").mf).__name__ == "Gaussian"
         sugeno = build_system(DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
-        assert sugeno.config.and_op is AndOp.PRODUCT
+        assert sugeno.config.kind is EngineKind.SUGENO
         assert type(sugeno.inputs[0].term("Moderate").mf).__name__ == "Gaussian"
 
     def test_linear_coefficients_tilt_the_output(self):

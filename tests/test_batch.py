@@ -10,7 +10,6 @@ from fuzzycr.analysis import VariantId, build_system
 from fuzzycr.catalog import DECISION_INPUTS, DecisionId, sugeno_levels
 from fuzzycr.engine import (
     BATCH_ROWS,
-    DefuzzMethod,
     EmptyAggregateError,
     EngineConfig,
     EngineKind,
@@ -22,7 +21,6 @@ from fuzzycr.membership import (
     Gaussian,
     LinguisticTerm,
     LinguisticVariable,
-    TrapezoidShoulder,
     Triangular,
     Universe,
 )
@@ -141,12 +139,12 @@ Y_VAR = LinguisticVariable(
 
 @pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
 def test_mixed_shapes_and_rule_lengths_match_scalar(config):
-    # trapezoid, step-edged triangle and Gaussian terms in one input; rules
-    # of one and two antecedents
+    # shoulder triangles, each with a step edge, and a Gaussian in one input;
+    # rules of one and two antecedents
     mixed = LinguisticVariable(
         "m", U,
         (
-            LinguisticTerm("Low", TrapezoidShoulder(0, 0, 20, 50)),
+            LinguisticTerm("Low", Triangular(0, 0, 50)),
             LinguisticTerm("Mid", Gaussian(50, 15)),
             LinguisticTerm("High", Triangular(50, 100, 100)),
         ),
@@ -176,10 +174,29 @@ def test_empty_aggregate_raises():
             fs.evaluate_batch([[100.0], [0.0]])
 
 
-def test_non_centroid_mamdani_is_rejected():
-    fs = FuzzySystem(
-        [X_VAR], Y_VAR, [Rule.of({"x": "Lo"}, "Low")],
-        EngineConfig.mamdani(defuzz=DefuzzMethod.BISECTOR),
-    )
-    with pytest.raises(ValueError, match="centroid"):
-        fs.evaluate_batch([[10.0]])
+@settings(max_examples=50, deadline=None)
+@given(pair_and_rows(), st.data())
+def test_rule_order_does_not_matter(case, data):
+    decision, variant, x = case
+    fs = system(decision, variant)
+    rules = data.draw(st.permutations(fs.rules))
+    permuted = FuzzySystem(fs.inputs, fs.output, rules, fs.config)
+    assert np.abs(permuted.evaluate_batch(x) - fs.evaluate_batch(x)).max() <= PARITY
+    assert np.abs(scalar(permuted, x) - scalar(fs, x)).max() <= PARITY
+
+
+@pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
+def test_rule_labels_are_matched_like_variable_labels(config):
+    # case, spaces, hyphens and underscores are ignored at construction, so
+    # both paths see the variables' own labels
+    def rules(lo, hi, low, high):
+        if config.kind is EngineKind.SUGENO:
+            low, high = SugenoConsequent(20.0), SugenoConsequent(80.0)
+        return [Rule.of({"x": lo}, low), Rule.of({"x": hi}, high)]
+
+    canonical = FuzzySystem([X_VAR], Y_VAR, rules("Lo", "Hi", "Low", "High"), config)
+    spelled = FuzzySystem([X_VAR], Y_VAR, rules("lo", "HI", "l o-w", "hi_GH"), config)
+    assert spelled.rules == canonical.rules
+    x = np.linspace(-10.0, 110.0, 25)[:, None]
+    assert scalar(spelled, x).tolist() == scalar(canonical, x).tolist()
+    assert spelled.evaluate_batch(x).tolist() == canonical.evaluate_batch(x).tolist()

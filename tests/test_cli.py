@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from fuzzycr.cli import MAX_GRID_POINTS, CliError, load_config, main
+from fuzzycr.cli import _SCALAR_KEYS, MAX_GRID_POINTS, CliError, load_config, main
 from fuzzycr.engine import EmptyAggregateError, FuzzySystem
 
 
@@ -242,6 +244,40 @@ class TestPlot:
         assert code == 1
         assert "row 3" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path, capsys, cell):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(f"snr,a,b\n10,1,2\n20,3,{cell}\n")
+        svg = tmp_path / "chart.svg"
+        code, _, err = run_cli("plot", str(csv), "--out", str(svg), capsys=capsys)
+        assert code == 1
+        assert err == f"error: {csv}: row 3, column 'b': {float(cell)} is not finite\n"
+        assert not svg.exists()
+
+
+# One bad input per subcommand: argv built from a scratch directory.
+BAD_INPUTS = {
+    "eval": lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=nan"],
+    "sweep": lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "volume",
+                          "--out", str(tmp / "sweep.csv")],
+    "surface": lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                            "--vary-b", "interference", "--step", "0.01",
+                            "--out-dir", str(tmp)],
+    "tables": lambda tmp: ["tables", "--out-dir", str(tmp / "a-file")],
+    "correlate": lambda tmp: ["correlate", "--out", str(tmp / "no-such-dir" / "t.csv")],
+    "plot": lambda tmp: ["plot", str(tmp / "a-file")],
+    "check-rules": lambda tmp: ["check-rules", str(tmp / "no-such.rules")],
+}
+
+
+@pytest.mark.parametrize("command", BAD_INPUTS)
+def test_every_subcommand_fails_on_one_line(command, tmp_path, capsys):
+    (tmp_path / "a-file").write_text("snr,a\n10,nan\n")
+    code, out, err = run_cli(*BAD_INPUTS[command](tmp_path), capsys=capsys)
+    assert code != 0
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in out + err
+
 
 class TestCheckRules:
     def shipped(self, name):
@@ -324,9 +360,6 @@ class TestConfigFile:
             variant = constant-sugeno
             grid = 0:100:25
 
-            [calibration]
-            snr = -5, 35
-
             [sugeno.handoff-status]
             On = 100, 0.25, 0
             """
@@ -335,7 +368,6 @@ class TestConfigFile:
         assert config.resolution == 2001
         assert config.fixed_value == 40.0
         assert config.grid == (0.0, 25.0, 50.0, 75.0, 100.0)
-        assert config.calibration["snr"].raw_hi == 35.0
         from fuzzycr.catalog import DecisionId
 
         assert config.sugeno_coefficients[DecisionId.HANDOFF_STATUS]["on"] == (
@@ -353,6 +385,23 @@ class TestConfigFile:
         path.write_text("[plotting]\ncolor = red\n")
         with pytest.raises(CliError, match="unknown section"):
             load_config(path)
+        path.write_text("[calibration]\nsnr = -5, 35\n")
+        with pytest.raises(CliError, match="unknown section"):
+            load_config(path)
+
+    def test_readme_example_names_every_top_level_key(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert readme.count("```ini\n") == 1
+        block = readme.split("```ini\n")[1].split("```")[0]
+        path = tmp_path / "readme.conf"
+        path.write_text(block)
+        load_config(path)
+        top_level = block.split("\n[")[0]
+        keys = {
+            line.split("#")[0].partition("=")[0].strip()
+            for line in top_level.splitlines() if line.split("#")[0].strip()
+        }
+        assert keys == set(_SCALAR_KEYS)
 
     def test_config_drives_eval(self, tmp_path, capsys):
         path = tmp_path / "fuzzycr.conf"

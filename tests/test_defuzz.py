@@ -1,19 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from fuzzycr.engine import (
-    AggregateCurve,
-    DefuzzMethod,
-    EmptyAggregateError,
-    defuzz_bisector,
-    defuzz_centroid,
-    defuzz_largest_of_maxima,
-    defuzz_mean_of_maxima,
-    defuzz_smallest_of_maxima,
-    defuzzify,
-)
+from fuzzycr.engine import AggregateCurve, EmptyAggregateError, defuzz_centroid, defuzzify
 from fuzzycr.membership import Triangular, Universe
 
 U = Universe(0, 100)
@@ -57,49 +45,5 @@ class TestCentroid:
         assert abs(coarse - fine) < 0.05
         assert fine == pytest.approx(25 / 3, abs=5e-3)
 
-
-class TestMaximaFamily:
-    def test_clipped_triangle_flat_top(self):
-        curve = curve_from(Triangular(25, 50, 75), clip=0.5)
-        assert defuzz_smallest_of_maxima(curve) == pytest.approx(37.5)
-        assert defuzz_mean_of_maxima(curve) == pytest.approx(50.0)
-        assert defuzz_largest_of_maxima(curve) == pytest.approx(62.5)
-
-    def test_unclipped_triangle_all_agree_on_peak(self):
-        curve = curve_from(Triangular(25, 50, 75))
-        for fn in (defuzz_smallest_of_maxima, defuzz_mean_of_maxima,
-                   defuzz_largest_of_maxima):
-            assert fn(curve) == pytest.approx(50.0)
-
-    def test_dispatch_table(self):
-        curve = curve_from(Triangular(25, 50, 75), clip=0.5)
-        assert defuzzify(curve, DefuzzMethod.SMALLEST_OF_MAXIMA) == pytest.approx(37.5)
-        assert defuzzify(curve, DefuzzMethod.MEAN_OF_MAXIMA) == pytest.approx(50.0)
-        assert defuzzify(curve, DefuzzMethod.LARGEST_OF_MAXIMA) == pytest.approx(62.5)
-        assert defuzzify(curve, DefuzzMethod.CENTROID) == pytest.approx(50.0, abs=1e-9)
-        assert defuzzify(curve, DefuzzMethod.BISECTOR) == pytest.approx(50.0, abs=0.1)
-
-
-class TestBisector:
-    def test_symmetric_curve_splits_at_midpoint(self):
-        assert defuzz_bisector(curve_from(Triangular(25, 50, 75))) == pytest.approx(50.0)
-
-    def test_right_triangle_analytic(self):
-        # half the area of the descending ramp lies left of 100*(1 - 1/sqrt(2))
-        value = defuzz_bisector(curve_from(Triangular(0, 0, 100)))
-        assert value == pytest.approx(100 * (1 - 1 / math.sqrt(2)), abs=0.1)
-
-    def test_matches_independent_cumulative_quadrature(self):
-        mf = Triangular(10, 30, 90)
-        curve = curve_from(mf, clip=0.8)
-        # fine-grained independent accumulation
-        xs = np.linspace(0, 100, 200001)
-        ys = np.minimum(0.8, mf.profile(xs))
-        cum = np.cumsum(ys)
-        expected = xs[np.searchsorted(cum, 0.5 * cum[-1])]
-        assert defuzz_bisector(curve) == pytest.approx(expected, abs=0.1)
-
-    def test_all_zero_curve_raises(self):
-        xs = U.samples(101)
-        with pytest.raises(EmptyAggregateError):
-            defuzz_bisector(AggregateCurve(xs, np.zeros_like(xs)))
+    def test_defuzzify_is_the_centroid(self):
+        assert defuzzify is defuzz_centroid

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from fuzzycr.engine import (
-    AndOp,
-    DefuzzMethod,
     EmptyAggregateError,
     EngineConfig,
+    EngineKind,
     FuzzyError,
     FuzzySystem,
     Rule,
@@ -53,12 +52,12 @@ def make_output():
     return LinguisticVariable("y", U, terms, "output")
 
 
-def mamdani_system(rules, defuzz=DefuzzMethod.CENTROID, resolution=1001):
+def mamdani_system(rules, resolution=1001):
     return FuzzySystem(
         [make_input()],
         make_output(),
         rules,
-        EngineConfig.mamdani(defuzz=defuzz, resolution=resolution),
+        EngineConfig.mamdani(resolution=resolution),
     )
 
 
@@ -66,23 +65,23 @@ class TestFiringStrength:
     def test_min(self):
         rule = Rule.of({"a": "X", "b": "Y"}, "Z")
         fuzzified = {"a": {"X": 0.8}, "b": {"Y": 0.3}}
-        assert firing_strength(rule, fuzzified, AndOp.MIN) == pytest.approx(0.3)
+        assert firing_strength(rule, fuzzified, EngineKind.MAMDANI) == pytest.approx(0.3)
 
     def test_product(self):
         rule = Rule.of({"a": "X", "b": "Y"}, "Z")
         fuzzified = {"a": {"X": 0.8}, "b": {"Y": 0.3}}
-        assert firing_strength(rule, fuzzified, AndOp.PRODUCT) == pytest.approx(0.24)
+        assert firing_strength(rule, fuzzified, EngineKind.SUGENO) == pytest.approx(0.24)
 
     def test_single_antecedent_identity(self):
         rule = Rule.of({"a": "X"}, "Z")
         fuzzified = {"a": {"X": 1.0}}
-        assert firing_strength(rule, fuzzified, AndOp.MIN) == 1.0
-        assert firing_strength(rule, fuzzified, AndOp.PRODUCT) == 1.0
+        assert firing_strength(rule, fuzzified, EngineKind.MAMDANI) == 1.0
+        assert firing_strength(rule, fuzzified, EngineKind.SUGENO) == 1.0
 
     def test_missing_variable_named_in_error(self):
         rule = Rule.of({"a": "X", "missing_one": "Y"}, "Z")
         with pytest.raises(FuzzyError, match="missing_one"):
-            firing_strength(rule, {"a": {"X": 1.0}}, AndOp.MIN)
+            firing_strength(rule, {"a": {"X": 1.0}}, EngineKind.MAMDANI)
 
 
 class TestMamdaniAggregation:
