@@ -9,6 +9,7 @@ deterministic, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -68,6 +69,12 @@ class DegenerateSeriesError(ValueError):
     """A correlation operand has zero variance."""
 
 
+# Most distinct systems ``build_system`` keeps alive: the 24 standard ones
+# (6 decisions x 4 variants) with room to spare, and a bound for a caller
+# who varies resolution or consequents in a loop.
+BUILD_CACHE_SIZE = 64
+
+
 def build_system(
     decision: DecisionId,
     variant: VariantId,
@@ -79,28 +86,51 @@ def build_system(
     ``sugeno_consequents`` maps output labels to ``(constant, *slopes)`` for
     the affine Sugeno variant, slopes in decision input order (missing
     trailing slopes are zero). The constant replaces the catalog level of that
-    label. Labels match like rule labels; an unknown one is a ``ValueError``
-    for every variant, but only ``linear-sugeno`` uses the mapping. Labels it
-    leaves out keep the catalog level and zero slopes, so by default the
-    affine and constant variants coincide.
+    label. Labels match like rule labels; an unknown one, or two keys naming
+    one label, is a ``ValueError`` for every variant, but only
+    ``linear-sugeno`` uses the mapping. Labels it leaves out keep the catalog
+    level and zero slopes, so by default the affine and constant variants
+    coincide.
+
+    Systems are memoized for the life of the process, up to
+    ``BUILD_CACHE_SIZE`` of them: equal arguments return the same shared
+    system, whatever the order of the mapping's keys or the sequence type of
+    its values. Callers must not mutate it.
     """
+    consequents = tuple(sorted(
+        (label, tuple(values)) for label, values in (sugeno_consequents or {}).items()
+    ))
+    return _build_system(decision, variant, resolution, consequents)
+
+
+@functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
+def _build_system(
+    decision: DecisionId,
+    variant: VariantId,
+    resolution: int,
+    sugeno_consequents: tuple[tuple[str, tuple[float, ...]], ...],
+) -> FuzzySystem:
     family = "triangular" if variant is VariantId.TRIANGULAR_MAMDANI else "gaussian"
     catalog = standard_catalog(family)
     output = catalog.decision_output(decision)
     input_names = DECISION_INPUTS[decision]
     consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
-    for label, values in (sugeno_consequents or {}).items():
+    given = set()
+    for label, values in sugeno_consequents:
         try:
             label = output.term(label).label
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
+        if label in given:
+            raise ValueError(f"consequent {label!r} is given twice")
+        given.add(label)
         if not 1 <= len(values) <= 1 + len(input_names):
             raise ValueError(
                 f"consequent {label!r} needs a constant and at most "
                 f"{len(input_names)} slopes, got {len(values)} numbers"
             )
         if variant is VariantId.LINEAR_SUGENO:
-            consequents[label] = tuple(values)
+            consequents[label] = values
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
     if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
         config = EngineConfig.mamdani(resolution)

@@ -33,7 +33,7 @@ from .analysis import (
     surface_grid,
 )
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog
-from .engine import FuzzyError
+from .engine import EngineConfig, FuzzyError
 from .ruledsl import RuleParseError, parse_catalog_rules
 from .svgplot import write_line_chart
 
@@ -127,11 +127,24 @@ def load_config(path: Path) -> CliConfig:
     return config
 
 
+def _parse_resolution(text: str) -> int:
+    # checked by EngineConfig, the one owner of the rule, at load time so the
+    # error can carry the config line
+    return EngineConfig.mamdani(int(text)).resolution
+
+
+def _parse_fixed_value(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"fixed_value must be finite, got {value}")
+    return value
+
+
 # Top-level config keys, each the name of the ``CliConfig`` field it sets,
 # with the parser of its value.
 _SCALAR_KEYS = {
-    "resolution": int,
-    "fixed_value": float,
+    "resolution": _parse_resolution,
+    "fixed_value": _parse_fixed_value,
     "grid": _parse_grid,
     "variant": VariantId.parse,
     "output_dir": Path,
@@ -198,7 +211,10 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
                 f"{name!r} is not an input of {decision.value}; "
                 f"inputs: {', '.join(DECISION_INPUTS[decision])}"
             )
-        assignments[name] = float(value)
+        try:
+            assignments[name] = float(value)
+        except ValueError:
+            raise CliError(f"--in {name}: {value!r} is not a number") from None
     print(_format_value(system.evaluate(assignments)))
     return 0
 

@@ -244,7 +244,9 @@ class _CompiledSystem:
             rules = [rules[r] for r in order]
             labels = np.array(labels)[order]
             self.label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            self.profiles = system._profiles[labels[self.label_starts]]
+            # rows of the system's own profile matrix, read in place
+            self.profile_rows = labels[self.label_starts]
+            self.profiles = system._profiles
             self.xs = system._xs
         else:
             self.output_range = (system.output.universe.lo, system.output.universe.hi)
@@ -304,8 +306,8 @@ class _CompiledSystem:
         end-weighted centroid of each row, as ``defuzz_centroid`` does."""
         levels = np.maximum.reduceat(strengths, self.label_starts, axis=1)
         curves.fill(0.0)
-        for label, profile in enumerate(self.profiles):
-            np.minimum(levels[:, label, None], profile, out=clipped)
+        for label, row in enumerate(self.profile_rows):
+            np.minimum(levels[:, label, None], self.profiles[row], out=clipped)
             np.maximum(curves, clipped, out=curves)
         curves[:, 0] *= 0.5
         curves[:, -1] *= 0.5

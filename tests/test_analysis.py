@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzzycr import analysis
 from fuzzycr.analysis import (
     ALL_VARIANTS,
     CORRELATION_PAIRS,
@@ -19,6 +20,7 @@ from fuzzycr.analysis import (
 from fuzzycr.engine import EngineConfig, EngineKind, FuzzySystem, Rule
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
 from fuzzycr.catalog import DecisionId
+from fuzzycr.cli import main
 
 
 class TestBuildSystem:
@@ -52,6 +54,51 @@ class TestBuildSystem:
                 DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO,
                 sugeno_consequents={"On": (1.0, 2.0, 3.0, 4.0)},
             )
+
+
+class TestBuildSystemMemo:
+    HANDOFF = (DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO)
+
+    def test_equal_arguments_return_the_same_system(self):
+        assert build_system(*self.HANDOFF) is build_system(*self.HANDOFF, 1001, None)
+        assert build_system(*self.HANDOFF) is build_system(*self.HANDOFF, sugeno_consequents={})
+        ordered = {"On": (100.0, 0.1), "Off": (5.0,)}
+        shuffled = {"Off": [5.0], "On": [100.0, 0.1]}
+        assert build_system(*self.HANDOFF, sugeno_consequents=ordered) is build_system(
+            *self.HANDOFF, sugeno_consequents=shuffled
+        )
+
+    def test_different_arguments_return_different_systems(self):
+        plain = build_system(*self.HANDOFF)
+        assert build_system(*self.HANDOFF, resolution=2001) is not plain
+        tilted = build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.1)})
+        assert tilted is not plain
+        assert tilted is not build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.2)})
+
+    def test_an_unknown_label_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no label 'Maybe'"):
+                build_system(*self.HANDOFF, sugeno_consequents={"Maybe": (1.0,)})
+
+    def test_a_label_given_twice_is_rejected(self):
+        with pytest.raises(ValueError, match="'On' is given twice"):
+            build_system(*self.HANDOFF, sugeno_consequents={"On": (1.0,), "on": (2.0,)})
+
+    def test_the_cache_holds_every_standard_system(self):
+        assert analysis.BUILD_CACHE_SIZE >= len(DecisionId) * len(VariantId)
+
+    def test_a_tables_pass_builds_each_standard_system_once(self, tmp_path, monkeypatch):
+        built = []
+        init = FuzzySystem.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FuzzySystem, "__init__", counting_init)
+        analysis._build_system.cache_clear()
+        assert main(["tables", "--out-dir", str(tmp_path)]) == 0
+        assert len(built) <= len(DecisionId) * len(VariantId)
 
 
 class TestRunSweep:

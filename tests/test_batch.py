@@ -1,7 +1,5 @@
 """FuzzySystem.evaluate_batch against the scalar evaluate it must equal."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +25,6 @@ from fuzzycr.membership import (
 
 PAIRS = [(d, v) for d in DecisionId for v in VariantId]
 PARITY = 1e-9
-
-system = functools.cache(build_system)
 
 # Inputs beyond the universe on both sides, the infinities, and lattice points
 # where terms peak and cross.
@@ -61,7 +57,7 @@ def scalar(fs, x):
 @given(pair_and_rows())
 def test_batch_equals_scalar(case):
     decision, variant, x = case
-    fs = system(decision, variant)
+    fs = build_system(decision, variant)
     assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
 
 
@@ -69,7 +65,7 @@ def test_batch_equals_scalar(case):
 def test_batch_equals_scalar_across_chunks(decision, variant):
     # more rows than one chunk, and a row count that leaves a partial chunk
     rng = np.random.default_rng(7)
-    fs = system(decision, variant)
+    fs = build_system(decision, variant)
     x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 5, len(fs.inputs)))
     x[::3] = np.round(x[::3] / 5.0) * 5.0
     assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
@@ -101,7 +97,7 @@ def test_linear_sugeno_stays_in_the_universe(case):
 @given(pair_and_rows())
 def test_every_output_stays_in_the_universe(case):
     decision, variant, x = case
-    batch = system(decision, variant).evaluate_batch(x)
+    batch = build_system(decision, variant).evaluate_batch(x)
     assert ((0.0 <= batch) & (batch <= 100.0)).all()
 
 
@@ -109,7 +105,7 @@ def test_every_output_stays_in_the_universe(case):
 @given(pair_and_rows(), st.data())
 def test_nan_in_any_row_is_named(case, data):
     decision, variant, x = case
-    fs = system(decision, variant)
+    fs = build_system(decision, variant)
     row = data.draw(st.integers(0, len(x) - 1))
     column = data.draw(st.integers(0, x.shape[1] - 1))
     x[row, column] = np.nan
@@ -118,7 +114,7 @@ def test_nan_in_any_row_is_named(case, data):
 
 
 def test_wrong_shapes_are_rejected():
-    fs = system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
+    fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
     for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 1))):
         with pytest.raises(ValueError, match="N x 2"):
             fs.evaluate_batch(bad)
@@ -178,7 +174,7 @@ def test_empty_aggregate_raises():
 @given(pair_and_rows(), st.data())
 def test_rule_order_does_not_matter(case, data):
     decision, variant, x = case
-    fs = system(decision, variant)
+    fs = build_system(decision, variant)
     rules = data.draw(st.permutations(fs.rules))
     permuted = FuzzySystem(fs.inputs, fs.output, rules, fs.config)
     assert np.abs(permuted.evaluate_batch(x) - fs.evaluate_batch(x)).max() <= PARITY
@@ -200,3 +196,28 @@ def test_rule_labels_are_matched_like_variable_labels(config):
     x = np.linspace(-10.0, 110.0, 25)[:, None]
     assert scalar(spelled, x).tolist() == scalar(canonical, x).tolist()
     assert spelled.evaluate_batch(x).tolist() == canonical.evaluate_batch(x).tolist()
+
+
+
+@pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_raising_a_term_degree_never_lowers_a_clip_level_or_strength(decision, variant, data):
+    # a fuzzified N x (T + 1) degree matrix, whose last column is the constant
+    # 1 that pads short rules, and the same matrix with one term raised
+    compiled = build_system(decision, variant)._compiled
+    n = data.draw(st.integers(1, 4))
+    degrees = np.ones((n, compiled.n_terms + 1))
+    degrees[:, :-1] = data.draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=compiled.n_terms, max_size=compiled.n_terms),
+        min_size=n, max_size=n,
+    ))
+    raised = degrees.copy()
+    column = data.draw(st.integers(0, compiled.n_terms - 1))
+    raised[:, column] = [data.draw(st.floats(d, 1.0)) for d in degrees[:, column]]
+    before, after = compiled.fire(degrees), compiled.fire(raised)
+    if compiled.mamdani:
+        # clip levels: the strongest rule of each consequent label
+        before = np.maximum.reduceat(before, compiled.label_starts, axis=1)
+        after = np.maximum.reduceat(after, compiled.label_starts, axis=1)
+    assert (after >= before).all()

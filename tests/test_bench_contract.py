@@ -1,9 +1,11 @@
-"""The benchmark's output contract, checked on the surface workload.
+"""The benchmark's output contract, checked on the surface and tables workloads.
 
 A run must exit 0 with nothing on stderr and end on one strict-JSON line
 whose metrics are exactly the ones BENCHMARK.json names: the end-to-end set
 untraced, the per-layer set traced. A renamed or deleted function that the
-tracer hooks drops its layer from the traced result, which this catches.
+tracer hooks drops its layer from the traced result, and per-layer counts
+that differ between traced units (say, a cache that fills during the traced
+phase) make the run incorrect; both are caught here.
 """
 
 import json
@@ -22,9 +24,10 @@ def reject_constant(name):
 
 
 @pytest.mark.parametrize("trace,section", [(0, "end_to_end"), (1, "per_layer")])
-def test_surface_run_ends_on_a_strict_json_result(trace, section):
+@pytest.mark.parametrize("workload", ["surface", "tables"])
+def test_run_ends_on_a_strict_json_result(workload, trace, section):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", "surface",
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
          "--seconds", "0.5", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )

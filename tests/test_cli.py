@@ -255,27 +255,38 @@ class TestPlot:
         assert not svg.exists()
 
 
-# One bad input per subcommand: argv built from a scratch directory.
+# One bad input per subcommand, plus a non-numeric --in value: argv built from
+# a scratch directory, and a fragment the error line must contain.
 BAD_INPUTS = {
-    "eval": lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=nan"],
-    "sweep": lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "volume",
-                          "--out", str(tmp / "sweep.csv")],
-    "surface": lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
-                            "--vary-b", "interference", "--step", "0.01",
-                            "--out-dir", str(tmp)],
-    "tables": lambda tmp: ["tables", "--out-dir", str(tmp / "a-file")],
-    "correlate": lambda tmp: ["correlate", "--out", str(tmp / "no-such-dir" / "t.csv")],
-    "plot": lambda tmp: ["plot", str(tmp / "a-file")],
-    "check-rules": lambda tmp: ["check-rules", str(tmp / "no-such.rules")],
+    "eval": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=nan"],
+             "input 'snr' is NaN"),
+    "eval-not-a-number": (
+        lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=abc"],
+        "--in snr: 'abc' is not a number"),
+    "sweep": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "volume",
+                           "--out", str(tmp / "sweep.csv")],
+              "'volume' is not an input of handoff-status"),
+    "surface": (lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                             "--vary-b", "interference", "--step", "0.01",
+                             "--out-dir", str(tmp)],
+                f"more than {MAX_GRID_POINTS} points"),
+    "tables": (lambda tmp: ["tables", "--out-dir", str(tmp / "a-file")], "File exists"),
+    "correlate": (lambda tmp: ["correlate", "--out", str(tmp / "no-such-dir" / "t.csv")],
+                  "No such file or directory"),
+    "plot": (lambda tmp: ["plot", str(tmp / "a-file")], "column 'a': nan is not finite"),
+    "check-rules": (lambda tmp: ["check-rules", str(tmp / "no-such.rules")],
+                    "No such file or directory"),
 }
 
 
 @pytest.mark.parametrize("command", BAD_INPUTS)
 def test_every_subcommand_fails_on_one_line(command, tmp_path, capsys):
     (tmp_path / "a-file").write_text("snr,a\n10,nan\n")
-    code, out, err = run_cli(*BAD_INPUTS[command](tmp_path), capsys=capsys)
-    assert code != 0
+    argv, fragment = BAD_INPUTS[command]
+    code, out, err = run_cli(*argv(tmp_path), capsys=capsys)
+    assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
     assert "Traceback" not in out + err
 
 
@@ -388,6 +399,20 @@ class TestConfigFile:
         path.write_text("[calibration]\nsnr = -5, 35\n")
         with pytest.raises(CliError, match="unknown section"):
             load_config(path)
+
+    @pytest.mark.parametrize("line,message", [
+        ("resolution = 1000", "resolution must be odd and >= 101, got 1000"),
+        ("fixed_value = nan", "fixed_value must be finite, got nan"),
+        ("fixed_value = -inf", "fixed_value must be finite, got -inf"),
+    ])
+    def test_values_that_would_fail_later_are_rejected_at_their_line(
+        self, tmp_path, line, message
+    ):
+        path = tmp_path / "bad.conf"
+        path.write_text(f"variant = constant-sugeno\n{line}\n")
+        with pytest.raises(CliError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:2: {message}"
 
     def test_readme_example_names_every_top_level_key(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
