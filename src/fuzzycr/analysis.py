@@ -29,6 +29,7 @@ __all__ = [
     "SweepResult",
     "DegenerateSeriesError",
     "build_system",
+    "check_sugeno_consequents",
     "run_sweep",
     "surface_grid",
     "pearson",
@@ -86,11 +87,10 @@ def build_system(
     ``sugeno_consequents`` maps output labels to ``(constant, *slopes)`` for
     the affine Sugeno variant, slopes in decision input order (missing
     trailing slopes are zero). The constant replaces the catalog level of that
-    label. Labels match like rule labels; an unknown one, or two keys naming
-    one label, is a ``ValueError`` for every variant, but only
-    ``linear-sugeno`` uses the mapping. Labels it leaves out keep the catalog
-    level and zero slopes, so by default the affine and constant variants
-    coincide.
+    label. Labels match like rule labels. Every variant checks the mapping
+    with ``check_sugeno_consequents``, but only ``linear-sugeno`` uses it.
+    Labels it leaves out keep the catalog level and zero slopes, so by
+    default the affine and constant variants coincide.
 
     Systems are memoized for the life of the process, up to
     ``BUILD_CACHE_SIZE`` of them: equal arguments return the same shared
@@ -115,22 +115,9 @@ def _build_system(
     output = catalog.decision_output(decision)
     input_names = DECISION_INPUTS[decision]
     consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
-    given = set()
-    for label, values in sugeno_consequents:
-        try:
-            label = output.term(label).label
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-        if label in given:
-            raise ValueError(f"consequent {label!r} is given twice")
-        given.add(label)
-        if not 1 <= len(values) <= 1 + len(input_names):
-            raise ValueError(
-                f"consequent {label!r} needs a constant and at most "
-                f"{len(input_names)} slopes, got {len(values)} numbers"
-            )
-        if variant is VariantId.LINEAR_SUGENO:
-            consequents[label] = values
+    given = check_sugeno_consequents(decision, sugeno_consequents)
+    if variant is VariantId.LINEAR_SUGENO:
+        consequents.update(given)
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
     if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
         config = EngineConfig.mamdani(resolution)
@@ -142,6 +129,36 @@ def _build_system(
         }
         rules = [Rule(rule.antecedents, affine[rule.consequent]) for rule in rules]
     return FuzzySystem(catalog.decision_inputs(decision), output, rules, config)
+
+
+def check_sugeno_consequents(
+    decision: DecisionId, consequents: Sequence[tuple[str, Sequence[float]]]
+) -> dict[str, tuple[float, ...]]:
+    """Check ``(label, (constant, *slopes))`` pairs for one decision and key
+    them by the output's own spelling of each label.
+
+    An unknown label, a label given twice, more numbers than a constant and
+    one slope per input, or a non-finite number is a ``ValueError``.
+    """
+    output = standard_catalog().decision_output(decision)
+    n_inputs = len(DECISION_INPUTS[decision])
+    checked = {}
+    for label, values in consequents:
+        try:
+            label = output.term(label).label
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
+        if label in checked:
+            raise ValueError(f"consequent {label!r} is given twice")
+        if not 1 <= len(values) <= 1 + n_inputs:
+            raise ValueError(
+                f"consequent {label!r} needs a constant and at most "
+                f"{n_inputs} slopes, got {len(values)} numbers"
+            )
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"consequent {label!r} needs finite numbers, got {tuple(values)}")
+        checked[label] = tuple(values)
+    return checked
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -27,6 +28,7 @@ from .analysis import (
     SweepSpec,
     VariantId,
     build_system,
+    check_sugeno_consequents,
     correlation_report,
     run_sweep,
     standard_sweep_results,
@@ -69,7 +71,7 @@ class CliConfig:
 
 def _grid_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """Points ``lo + i*step`` up to ``hi``, at most ``MAX_GRID_POINTS`` of them."""
-    if not step > 0 or not hi >= lo:
+    if not 0 < step < math.inf or not hi >= lo:
         raise CliError(f"bad grid range {lo:g}:{hi:g}:{step:g}")
     intervals = (hi - lo + 1e-9) / step
     if intervals >= MAX_GRID_POINTS:
@@ -79,14 +81,25 @@ def _grid_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(round(lo + i * step, 9) for i in range(int(intervals) + 1))
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_number(text: str, name: str) -> float:
+    """A finite number; errors name ``name``, the config key or flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{name}: {text.strip()!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _parse_grid(text: str, name: str) -> tuple[float, ...]:
     """Grid spec: either ``lo:hi:step`` or a comma list of values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise CliError(f"grid must be lo:hi:step or a comma list, got {text!r}")
-        return _grid_range(*(float(p) for p in parts))
-    return tuple(float(p) for p in text.split(","))
+            raise CliError(f"{name} must be lo:hi:step or a comma list, got {text!r}")
+        return _grid_range(*(_parse_number(p, name) for p in parts))
+    return tuple(_parse_number(p, name) for p in text.split(","))
 
 
 def load_config(path: Path) -> CliConfig:
@@ -94,8 +107,9 @@ def load_config(path: Path) -> CliConfig:
 
     Top-level ``key = value`` pairs (the keys of ``_SCALAR_KEYS``) and
     ``[sugeno.<decision>]`` sections mapping consequent labels to
-    ``constant, slope...`` (slopes follow the decision's input order).
-    Unknown keys and sections are rejected.
+    ``constant, slope...`` (slopes follow the decision's input order), checked
+    by ``check_sugeno_consequents``. Unknown keys and sections are rejected.
+    Every error carries ``path:line:``.
     """
     config = CliConfig()
     section: str | None = None
@@ -111,17 +125,18 @@ def load_config(path: Path) -> CliConfig:
         if "=" not in line:
             raise CliError(f"{path}:{line_no}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
+        key = key.strip()
         value = value.strip()
         try:
             if section is None:
-                _apply_scalar(config, key, value)
+                _apply_scalar(config, key.lower(), value)
             else:
                 decision = DecisionId.parse(section.split(".", 1)[1])
                 numbers = tuple(float(p) for p in value.split(","))
-                config.sugeno_coefficients.setdefault(decision, {})[key] = numbers
-        except CliError:
-            raise
+                given = config.sugeno_coefficients.get(decision, {})
+                config.sugeno_coefficients[decision] = check_sugeno_consequents(
+                    decision, [*given.items(), (key, numbers)]
+                )
         except Exception as exc:
             raise CliError(f"{path}:{line_no}: {exc}") from exc
     return config
@@ -133,19 +148,12 @@ def _parse_resolution(text: str) -> int:
     return EngineConfig.mamdani(int(text)).resolution
 
 
-def _parse_fixed_value(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"fixed_value must be finite, got {value}")
-    return value
-
-
 # Top-level config keys, each the name of the ``CliConfig`` field it sets,
 # with the parser of its value.
 _SCALAR_KEYS = {
     "resolution": _parse_resolution,
-    "fixed_value": _parse_fixed_value,
-    "grid": _parse_grid,
+    "fixed_value": functools.partial(_parse_number, name="fixed_value"),
+    "grid": functools.partial(_parse_grid, name="grid"),
     "variant": VariantId.parse,
     "output_dir": Path,
 }
@@ -175,8 +183,10 @@ def _system_for(config: CliConfig, decision: DecisionId, variant: VariantId):
     )
 
 
-def _format_value(value: float) -> str:
-    return f"{value:.4g}"
+def _fixed_value(args: argparse.Namespace, config: CliConfig) -> float:
+    if args.fixed is None:
+        return config.fixed_value
+    return _parse_number(args.fixed, "--fixed")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
@@ -215,7 +225,7 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
             assignments[name] = float(value)
         except ValueError:
             raise CliError(f"--in {name}: {value!r} is not a number") from None
-    print(_format_value(system.evaluate(assignments)))
+    print(f"{system.evaluate(assignments):.4g}")
     return 0
 
 
@@ -232,8 +242,8 @@ def cmd_sweep(args: argparse.Namespace, config: CliConfig) -> int:
     spec = SweepSpec(
         decision,
         args.vary,
-        fixed_value=args.fixed if args.fixed is not None else config.fixed_value,
-        grid=_parse_grid(args.grid) if args.grid else (config.grid or DEFAULT_GRID),
+        fixed_value=_fixed_value(args, config),
+        grid=_parse_grid(args.grid, "--grid") if args.grid else (config.grid or DEFAULT_GRID),
         variants=_variant_list(args.variants),
     )
     result = run_sweep(spec, functools.partial(_system_for, config))
@@ -249,7 +259,7 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
     grid = _grid_range(0.0, 100.0, args.step)
     grids = surface_grid(
         decision, args.vary_a, args.vary_b,
-        fixed_value=args.fixed if args.fixed is not None else config.fixed_value,
+        fixed_value=_fixed_value(args, config),
         variants=variants, grid=grid, system_for=functools.partial(_system_for, config),
     )
     outdir = _output_dir(config, args.out_dir)
@@ -367,18 +377,11 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
         return 0
     antecedent_names = rulebase.variable_order[:-1]
     labels = [catalog.inputs[name].labels for name in antecedent_names]
-    expected = 1
-    for ls in labels:
-        expected *= len(ls)
     seen = {
         tuple(rule.antecedent_map()[name] for name in antecedent_names)
         for rule in rulebase.rules
     }
-    missing = []
-    from itertools import product
-    for combo in product(*labels):
-        if combo not in seen:
-            missing.append(combo)
+    missing = [combo for combo in itertools.product(*labels) if combo not in seen]
     if missing:
         print(f"{path}: {count} rules, {len(missing)} missing combinations:")
         for combo in missing:
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="vary one input, write a CSV")
     p.add_argument("--decision", required=True)
     p.add_argument("--vary", required=True)
-    p.add_argument("--fixed", type=float, default=None)
+    p.add_argument("--fixed")
     p.add_argument("--grid", help="lo:hi:step or comma list (default 10:100:10)")
     p.add_argument("--variants", help="comma list (default all four)")
     p.add_argument("--out", required=True)
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decision", required=True)
     p.add_argument("--vary-a", required=True)
     p.add_argument("--vary-b", required=True)
-    p.add_argument("--fixed", type=float, default=None)
+    p.add_argument("--fixed")
     p.add_argument("--step", type=float, default=2.0)
     p.add_argument("--variants", help="comma list (default all four)")
     p.add_argument("--out-dir")

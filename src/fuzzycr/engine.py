@@ -1,13 +1,17 @@
 """Mamdani and Sugeno inference engines.
 
-A :class:`FuzzySystem` is immutable once built; :meth:`FuzzySystem.evaluate`
-and :meth:`FuzzySystem.evaluate_batch` are pure and reentrant, so systems can
-be evaluated from many threads at once.
+A :class:`FuzzySystem` compiles itself at construction into read-only index
+arrays, and :meth:`FuzzySystem.evaluate` (one decision) and
+:meth:`FuzzySystem.evaluate_batch` (N rows) run that one compiled kernel. Both
+are pure and reentrant, so systems can be evaluated from many threads at once.
+
+``firing_strength``, ``aggregate_clipped`` and ``defuzz_centroid`` compute the
+same inference rule by rule. No system calls them; they are the independent
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -93,12 +97,6 @@ class SugenoConsequent:
             if not np.isfinite(coeff):
                 raise ValueError(f"coefficient for {name!r} must be finite")
 
-    def value(self, inputs: Mapping[str, float]) -> float:
-        z = self.constant
-        for name, coeff in self.coefficients:
-            z += coeff * inputs[name]
-        return z
-
 
 Consequent = Union[str, SugenoConsequent]
 
@@ -149,9 +147,6 @@ class AggregateCurve:
     xs: np.ndarray
     degrees: np.ndarray
 
-    def max_degree(self) -> float:
-        return float(self.degrees.max())
-
 
 def aggregate_clipped(
     xs: np.ndarray,
@@ -172,21 +167,15 @@ def aggregate_clipped(
     return AggregateCurve(xs, combined)
 
 
-def _end_weighted(degrees: np.ndarray) -> np.ndarray:
-    """Trapezoid weights: halve the two boundary samples.
-
-    Keeps the discrete centroid equal to the continuous one to O(h^2) even
-    when the curve is nonzero at a universe edge.
-    """
-    weighted = degrees.copy()
-    weighted[0] *= 0.5
-    weighted[-1] *= 0.5
-    return weighted
-
-
 def defuzz_centroid(curve: AggregateCurve) -> float:
-    """Discrete centroid sum(x * mu) / sum(mu) over the uniform samples."""
-    weighted = _end_weighted(curve.degrees)
+    """Discrete centroid sum(x * mu) / sum(mu) over the uniform samples.
+
+    Trapezoid weights halve the two boundary samples, which keeps the discrete
+    centroid equal to the continuous one to O(h^2) even when the curve is
+    nonzero at a universe edge.
+    """
+    weighted = curve.degrees.copy()
+    weighted[[0, -1]] *= 0.5
     total = float(weighted.sum())
     if total <= 0.0:
         raise EmptyAggregateError("empty aggregate")
@@ -198,15 +187,17 @@ defuzzify = defuzz_centroid
 
 
 class _CompiledSystem:
-    """A system as index arrays, evaluated one chunk of rows at a time.
+    """A system as read-only index arrays, evaluated one chunk of rows at a
+    time.
 
     Terms of all inputs form one flat table of T terms: triangles
     ``(a, b, c)`` and Gaussians ``(mean, sigma)``. Degrees are computed into
     an N x (T + 1) matrix whose last column is the constant 1, so the R x k
     antecedent matrix pads short rules with index T. Mamdani rules are sorted
     by consequent label, so one ``np.maximum.reduceat`` turns rule strengths
-    into clip levels; Sugeno rules keep their order, with constants and an
-    R x n slope matrix.
+    into clip levels, which clip the rows of an L x resolution matrix of
+    sampled output terms; Sugeno rules keep their order, with constants and
+    an R x n slope matrix.
     """
 
     def __init__(self, system: "FuzzySystem") -> None:
@@ -244,10 +235,9 @@ class _CompiledSystem:
             rules = [rules[r] for r in order]
             labels = np.array(labels)[order]
             self.label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            # rows of the system's own profile matrix, read in place
             self.profile_rows = labels[self.label_starts]
-            self.profiles = system._profiles
-            self.xs = system._xs
+            self.xs = system.output.universe.samples(system.config.resolution)
+            self.profiles = np.array([t.mf.profile(self.xs) for t in system.output.terms])
         else:
             self.output_range = (system.output.universe.lo, system.output.universe.hi)
             names = system.input_names
@@ -261,6 +251,12 @@ class _CompiledSystem:
         for r, rule in enumerate(rules):
             for j, antecedent in enumerate(rule.antecedents):
                 self.antecedents[r, j] = term_index[antecedent]
+        # a system may be shared (``build_system`` memoizes), so none of its
+        # arrays may change
+        for value in vars(self).values():
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
 
     def fuzzify(self, x: np.ndarray) -> np.ndarray:
         """N x (T + 1) term degrees of clamped rows; the last column is 1."""
@@ -344,27 +340,17 @@ class FuzzySystem:
         self.inputs = tuple(inputs)
         self.output = output
         self.config = config
-        self._inputs_by_name = {v.name: v for v in self.inputs}
+        self.input_names = tuple(v.name for v in self.inputs)
+        self._inputs_by_name = dict(zip(self.input_names, self.inputs))
         if len(self._inputs_by_name) != len(self.inputs):
             raise ValueError("input variable names must be unique")
         self.rules = self._resolve_rules(rules)
-        self._xs = output.universe.samples(config.resolution)
-        if config.kind is EngineKind.MAMDANI:
-            # one L x resolution matrix, which the compiled form gathers
-            # from; the per-label dict holds views of its rows
-            self._profiles = np.array([t.mf.profile(self._xs) for t in output.terms])
-            self._term_profiles = dict(zip(output.labels, self._profiles))
-        else:
-            self._term_profiles = {}
-
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.inputs)
+        self._compiled = _CompiledSystem(self)
 
     def _resolve_rules(self, rules: Sequence[Rule]) -> tuple[Rule, ...]:
         """Check each rule against the variables and return the rules with
         the variables' own spelling of every label (see
-        ``LinguisticVariable.term``), so evaluation looks labels up verbatim.
+        ``LinguisticVariable.term``), so compiling looks labels up verbatim.
         Unknown labels raise ``KeyError``."""
         if not rules:
             raise ValueError("system needs at least one rule")
@@ -425,55 +411,12 @@ class FuzzySystem:
             resolved[var.name] = var.universe.clamp(value)
         return resolved
 
-    def fuzzify(self, assignments: Mapping[str, float]) -> dict[str, dict[str, float]]:
-        return {
-            name: self._inputs_by_name[name].fuzzify(value)
-            for name, value in assignments.items()
-        }
-
-    def mamdani_aggregate(
-        self, x: Union[Sequence[float], Mapping[str, float]]
-    ) -> AggregateCurve:
-        """Fire all rules, clip consequent terms, and max-combine the curves."""
-        if self.config.kind is not EngineKind.MAMDANI:
-            raise FuzzyError("aggregation curve only exists for Mamdani systems")
-        fuzzified = self.fuzzify(self.assignments(x))
-        clip_levels: dict[str, float] = {}
-        for rule in self.rules:
-            w = firing_strength(rule, fuzzified, self.config.kind)
-            label = rule.consequent
-            if w > clip_levels.get(label, 0.0):
-                clip_levels[label] = w
-        return aggregate_clipped(self._xs, self._term_profiles, clip_levels)
-
-    def sugeno_evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
-        """Firing-strength-weighted average of the rule consequent values."""
-        if self.config.kind is not EngineKind.SUGENO:
-            raise FuzzyError("weighted-average evaluation is Sugeno-only")
-        assignments = self.assignments(x)
-        fuzzified = self.fuzzify(assignments)
-        total_w = 0.0
-        total_wz = 0.0
-        for rule in self.rules:
-            w = firing_strength(rule, fuzzified, self.config.kind)
-            if w == 0.0:
-                continue
-            total_w += w
-            total_wz += w * rule.consequent.value(assignments)
-        if total_w == 0.0:
-            raise EmptyAggregateError("empty aggregate")
-        return self.output.universe.clamp(total_wz / total_w)
-
     def evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
-        """One decision, rule by rule. Sugeno outputs, which affine
-        consequents can push outside the output universe, are clamped to it."""
-        if self.config.kind is EngineKind.MAMDANI:
-            return defuzzify(self.mamdani_aggregate(x))
-        return self.sugeno_evaluate(x)
-
-    @functools.cached_property
-    def _compiled(self) -> _CompiledSystem:
-        return _CompiledSystem(self)
+        """One decision: the compiled kernel on the one row of clamped
+        ``assignments(x)``. Sugeno outputs, which affine consequents can push
+        outside the output universe, are clamped to it."""
+        row = np.array([list(self.assignments(x).values())])
+        return float(self._compiled.evaluate(row)[0])
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate N rows at once: an N x n_inputs array, columns in

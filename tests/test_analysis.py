@@ -84,6 +84,18 @@ class TestBuildSystemMemo:
         with pytest.raises(ValueError, match="'On' is given twice"):
             build_system(*self.HANDOFF, sugeno_consequents={"On": (1.0,), "on": (2.0,)})
 
+    @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
+    def test_a_shared_system_cannot_be_written(self, variant):
+        compiled = build_system(DecisionId.CHANNEL_SELECTION, variant)._compiled
+        names = ["antecedents", "lo", "hi", "gaussians", "triangle_terms",
+                 "triangle_input", "gaussian_terms", "gaussian_input"]
+        names += (["profiles", "xs", "label_starts", "profile_rows"] if compiled.mamdani
+                  else ["constants", "slopes"])
+        arrays = [getattr(compiled, name) for name in names] + list(compiled.triangles)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
     def test_the_cache_holds_every_standard_system(self):
         assert analysis.BUILD_CACHE_SIZE >= len(DecisionId) * len(VariantId)
 

@@ -1,4 +1,11 @@
-"""FuzzySystem.evaluate_batch against the scalar evaluate it must equal."""
+"""FuzzySystem.evaluate and evaluate_batch against a rule-by-rule reference.
+
+Both methods run one compiled kernel. The reference here rebuilds each
+decision from the per-rule helpers instead (``LinguisticVariable.fuzzify``,
+``firing_strength``, ``aggregate_clipped``, ``defuzz_centroid``, and a
+weighted average written out below), so the parity tests hold the kernel to
+an independent computation, not to itself.
+"""
 
 import numpy as np
 import pytest
@@ -14,6 +21,9 @@ from fuzzycr.engine import (
     FuzzySystem,
     Rule,
     SugenoConsequent,
+    aggregate_clipped,
+    defuzz_centroid,
+    firing_strength,
 )
 from fuzzycr.membership import (
     Gaussian,
@@ -49,16 +59,48 @@ def pair_and_rows(draw):
     return decision, variant, np.array(draw(rows_for(decision)))
 
 
-def scalar(fs, x):
-    return np.array([fs.evaluate(list(row)) for row in x])
+def reference_one(fs, row):
+    """One decision rule by rule: clamp, fuzzify each input, fire each rule,
+    then clip, max-aggregate and take the centroid (Mamdani) or average the
+    affine consequents by strength and clamp to the output universe (Sugeno)."""
+    x = {var.name: var.universe.clamp(float(v)) for var, v in zip(fs.inputs, row)}
+    fuzzified = {var.name: var.fuzzify(x[var.name]) for var in fs.inputs}
+    strengths = [firing_strength(rule, fuzzified, fs.config.kind) for rule in fs.rules]
+    if fs.config.kind is EngineKind.MAMDANI:
+        xs = fs.output.universe.samples(fs.config.resolution)
+        profiles = {term.label: term.mf.profile(xs) for term in fs.output.terms}
+        levels = {}
+        for rule, w in zip(fs.rules, strengths):
+            levels[rule.consequent] = max(levels.get(rule.consequent, 0.0), w)
+        return defuzz_centroid(aggregate_clipped(xs, profiles, levels))
+    if sum(strengths) == 0.0:
+        raise EmptyAggregateError("empty aggregate")
+    values = [
+        rule.consequent.constant
+        + sum(coeff * x[name] for name, coeff in rule.consequent.coefficients)
+        for rule in fs.rules
+    ]
+    average = np.dot(strengths, values) / sum(strengths)
+    return fs.output.universe.clamp(average)
+
+
+def reference(fs, x):
+    return np.array([reference_one(fs, row) for row in x])
+
+
+def assert_parity(fs, x):
+    """Both kernel entry points equal the reference within ``PARITY``."""
+    expected = reference(fs, x)
+    assert np.abs(fs.evaluate_batch(x) - expected).max() <= PARITY
+    scalar = np.array([fs.evaluate(list(row)) for row in x])
+    assert np.abs(scalar - expected).max() <= PARITY
 
 
 @settings(max_examples=150, deadline=None)
 @given(pair_and_rows())
 def test_batch_equals_scalar(case):
     decision, variant, x = case
-    fs = build_system(decision, variant)
-    assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
+    assert_parity(build_system(decision, variant), x)
 
 
 @pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
@@ -68,7 +110,7 @@ def test_batch_equals_scalar_across_chunks(decision, variant):
     fs = build_system(decision, variant)
     x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 5, len(fs.inputs)))
     x[::3] = np.round(x[::3] / 5.0) * 5.0
-    assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
+    assert_parity(fs, x)
 
 
 @st.composite
@@ -90,7 +132,7 @@ def test_linear_sugeno_stays_in_the_universe(case):
     fs = build_system(decision, VariantId.LINEAR_SUGENO, sugeno_consequents=consequents)
     batch = fs.evaluate_batch(x)
     assert ((0.0 <= batch) & (batch <= 100.0)).all()
-    assert np.abs(batch - scalar(fs, x)).max() <= PARITY
+    assert_parity(fs, x)
 
 
 @settings(max_examples=50, deadline=None)
@@ -156,7 +198,7 @@ def test_mixed_shapes_and_rule_lengths_match_scalar(config):
     ]
     fs = FuzzySystem([X_VAR, mixed], Y_VAR, rules, config)
     x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
-    assert np.abs(fs.evaluate_batch(x) - scalar(fs, x)).max() <= PARITY
+    assert_parity(fs, x)
 
 
 def test_empty_aggregate_raises():
@@ -178,7 +220,7 @@ def test_rule_order_does_not_matter(case, data):
     rules = data.draw(st.permutations(fs.rules))
     permuted = FuzzySystem(fs.inputs, fs.output, rules, fs.config)
     assert np.abs(permuted.evaluate_batch(x) - fs.evaluate_batch(x)).max() <= PARITY
-    assert np.abs(scalar(permuted, x) - scalar(fs, x)).max() <= PARITY
+    assert np.abs(reference(permuted, x) - reference(fs, x)).max() <= PARITY
 
 
 @pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
@@ -194,7 +236,7 @@ def test_rule_labels_are_matched_like_variable_labels(config):
     spelled = FuzzySystem([X_VAR], Y_VAR, rules("lo", "HI", "l o-w", "hi_GH"), config)
     assert spelled.rules == canonical.rules
     x = np.linspace(-10.0, 110.0, 25)[:, None]
-    assert scalar(spelled, x).tolist() == scalar(canonical, x).tolist()
+    assert reference(spelled, x).tolist() == reference(canonical, x).tolist()
     assert spelled.evaluate_batch(x).tolist() == canonical.evaluate_batch(x).tolist()
 
 

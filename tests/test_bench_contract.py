@@ -1,4 +1,4 @@
-"""The benchmark's output contract, checked on the surface and tables workloads.
+"""The benchmark's output contract, checked on every workload.
 
 A run must exit 0 with nothing on stderr and end on one strict-JSON line
 whose metrics are exactly the ones BENCHMARK.json names: the end-to-end set
@@ -6,6 +6,9 @@ untraced, the per-layer set traced. A renamed or deleted function that the
 tracer hooks drops its layer from the traced result, and per-layer counts
 that differ between traced units (say, a cache that fills during the traced
 phase) make the run incorrect; both are caught here.
+
+Every workload evaluates through the compiled kernel, so the hooks on the
+per-rule reference helpers must count no calls.
 """
 
 import json
@@ -17,6 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+REFERENCE_CALLS = ("membership.fuzzify.calls", "engine.fire.rules",
+                   "engine.aggregate.calls", "engine.defuzz.calls")
 
 
 def reject_constant(name):
@@ -24,7 +29,7 @@ def reject_constant(name):
 
 
 @pytest.mark.parametrize("trace,section", [(0, "end_to_end"), (1, "per_layer")])
-@pytest.mark.parametrize("workload", ["surface", "tables"])
+@pytest.mark.parametrize("workload", ["decide", "surface", "tables"])
 def test_run_ends_on_a_strict_json_result(workload, trace, section):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
@@ -37,3 +42,6 @@ def test_run_ends_on_a_strict_json_result(workload, trace, section):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in BENCHMARK[section]}
+    if trace:
+        calls = {name: result["metrics"][name]["value"] for name in REFERENCE_CALLS}
+        assert calls == dict.fromkeys(REFERENCE_CALLS, 0)

@@ -255,8 +255,9 @@ class TestPlot:
         assert not svg.exists()
 
 
-# One bad input per subcommand, plus a non-numeric --in value: argv built from
-# a scratch directory, and a fragment the error line must contain.
+# One bad input per subcommand, plus non-numeric and non-finite --in, --grid,
+# --fixed and --step values: argv built from a scratch directory, and a
+# fragment the error line must contain.
 BAD_INPUTS = {
     "eval": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=nan"],
              "input 'snr' is NaN"),
@@ -276,6 +277,28 @@ BAD_INPUTS = {
     "plot": (lambda tmp: ["plot", str(tmp / "a-file")], "column 'a': nan is not finite"),
     "check-rules": (lambda tmp: ["check-rules", str(tmp / "no-such.rules")],
                     "No such file or directory"),
+    "sweep-grid-inf": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                                    "--grid", "10,inf", "--out", str(tmp / "sweep.csv")],
+                       "--grid must be finite, got inf"),
+    "sweep-grid-not-a-number": (
+        lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                     "--grid", "10,a", "--out", str(tmp / "sweep.csv")],
+        "--grid: 'a' is not a number"),
+    "sweep-fixed-inf": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                                     "--fixed", "inf", "--out", str(tmp / "sweep.csv")],
+                        "--fixed must be finite, got inf"),
+    "surface-step-inf": (lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                                      "--vary-b", "interference", "--step", "inf",
+                                      "--out-dir", str(tmp)],
+                         "bad grid range 0:100:inf"),
+    "surface-fixed-not-a-number": (
+        lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                     "--vary-b", "interference", "--fixed", "abc", "--out-dir", str(tmp)],
+        "--fixed: 'abc' is not a number"),
+    "surface-fixed-nan": (
+        lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                     "--vary-b", "interference", "--fixed=-nan", "--out-dir", str(tmp)],
+        "--fixed must be finite, got nan"),
 }
 
 
@@ -381,9 +404,10 @@ class TestConfigFile:
         assert config.grid == (0.0, 25.0, 50.0, 75.0, 100.0)
         from fuzzycr.catalog import DecisionId
 
-        assert config.sugeno_coefficients[DecisionId.HANDOFF_STATUS]["on"] == (
-            100.0, 0.25, 0.0,
-        )
+        # keyed by the output's own spelling of the label
+        assert config.sugeno_coefficients[DecisionId.HANDOFF_STATUS] == {
+            "On": (100.0, 0.25, 0.0),
+        }
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
@@ -404,6 +428,9 @@ class TestConfigFile:
         ("resolution = 1000", "resolution must be odd and >= 101, got 1000"),
         ("fixed_value = nan", "fixed_value must be finite, got nan"),
         ("fixed_value = -inf", "fixed_value must be finite, got -inf"),
+        ("fixed_value = abc", "fixed_value: 'abc' is not a number"),
+        ("grid = 10,inf", "grid must be finite, got inf"),
+        ("grid = 10,a", "grid: 'a' is not a number"),
     ])
     def test_values_that_would_fail_later_are_rejected_at_their_line(
         self, tmp_path, line, message
@@ -413,6 +440,20 @@ class TestConfigFile:
         with pytest.raises(CliError) as info:
             load_config(path)
         assert str(info.value) == f"{path}:2: {message}"
+
+    @pytest.mark.parametrize("lines,message", [
+        (["On = nan, 1"], "consequent 'On' needs finite numbers, got (nan, 1.0)"),
+        (["Off = 0, -inf"], "consequent 'Off' needs finite numbers, got (0.0, -inf)"),
+        (["Nope = 1"], "variable 'handoff_status' has no label 'Nope'; valid labels: Off, On"),
+        (["On = 1, 2, 3, 4"], "consequent 'On' needs a constant and at most 2 slopes, got 4 numbers"),
+        (["Off = 5", "on = 1", "o n = 2"], "consequent 'On' is given twice"),
+    ])
+    def test_sugeno_sections_are_checked_at_their_line(self, tmp_path, lines, message):
+        path = tmp_path / "bad.conf"
+        path.write_text("\n".join(["resolution = 1001", "[sugeno.handoff-status]", *lines]))
+        with pytest.raises(CliError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}:{2 + len(lines)}: {message}"
 
     def test_readme_example_names_every_top_level_key(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -497,4 +538,5 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "no label 'maybe'" in err
+        # caught at load, with the line and the label as written
+        assert f"{path}:2: variable 'handoff_status' has no label 'Maybe'" in err

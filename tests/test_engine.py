@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fuzzycr.engine import (
+    AggregateCurve,
     EmptyAggregateError,
     EngineConfig,
     EngineKind,
@@ -10,6 +11,7 @@ from fuzzycr.engine import (
     Rule,
     SugenoConsequent,
     aggregate_clipped,
+    defuzz_centroid,
     firing_strength,
 )
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
@@ -84,35 +86,43 @@ class TestFiringStrength:
             firing_strength(rule, {"a": {"X": 1.0}}, EngineKind.MAMDANI)
 
 
+def oracle_centroid(degrees):
+    """Centroid of a ``trimf`` oracle curve on the system's output samples."""
+    return defuzz_centroid(AggregateCurve(U.samples(1001), degrees))
+
+
 class TestMamdaniAggregation:
+    # each expected value is the centroid of a curve built from the trimf
+    # oracle, never from the engine's own profiles
+    xs = U.samples(1001)
+
     def test_single_rule_full_strength_is_the_sampled_triangle(self):
-        system = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])
-        curve = system.mamdani_aggregate([0.0])  # Lo degree 1 at x=0
-        assert np.allclose(curve.degrees, trimf(curve.xs, 25, 50, 75))
+        system = mamdani_system([Rule.of({"x": "Lo"}, "Bottom")])
+        expected = oracle_centroid(trimf(self.xs, 0, 0, 25))
+        assert expected == pytest.approx(25 / 3, abs=1e-3)
+        assert system.evaluate([0.0]) == pytest.approx(expected, abs=1e-9)  # Lo degree 1
 
     def test_half_strength_clips_flat_top(self):
-        system = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])
-        curve = system.mamdani_aggregate([50.0])  # Lo degree 0.5
-        expected = np.minimum(0.5, trimf(curve.xs, 25, 50, 75))
-        assert np.allclose(curve.degrees, expected)
-        flat = curve.degrees[(curve.xs >= 37.5) & (curve.xs <= 62.5)]
-        assert np.allclose(flat, 0.5)
-        assert curve.max_degree() == pytest.approx(0.5)
+        system = mamdani_system([Rule.of({"x": "Lo"}, "Bottom")])
+        expected = oracle_centroid(np.minimum(0.5, trimf(self.xs, 0, 0, 25)))
+        # the flat top moves the centroid right of the unclipped triangle's
+        assert expected > oracle_centroid(trimf(self.xs, 0, 0, 25)) + 1.0
+        assert system.evaluate([50.0]) == pytest.approx(expected, abs=1e-9)  # Lo degree 0.5
 
     def test_two_rules_combine_pointwise_max(self):
         system = mamdani_system(
-            [Rule.of({"x": "Lo"}, "Bottom"), Rule.of({"x": "Lo"}, "Top")]
+            [Rule.of({"x": "Lo"}, "Bottom"), Rule.of({"x": "Lo"}, "Wide")]
         )
-        curve = system.mamdani_aggregate([0.0])  # both fire at 1
-        expected = np.maximum(
-            trimf(curve.xs, 0, 0, 25), trimf(curve.xs, 75, 100, 100)
-        )
-        assert np.allclose(curve.degrees, expected)
+        bottom, wide = trimf(self.xs, 0, 0, 25), trimf(self.xs, 0, 50, 100)
+        expected = oracle_centroid(np.maximum(bottom, wide))
+        # the two terms overlap, so a sum would give another centroid
+        assert abs(expected - oracle_centroid(bottom + wide)) > 1.0
+        assert system.evaluate([0.0]) == pytest.approx(expected, abs=1e-9)  # both fire at 1
 
     def test_no_rule_fires_raises_empty_aggregate(self):
         system = mamdani_system([Rule.of({"x": "Hi"}, "Mid")])
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
-            system.mamdani_aggregate([0.0])  # Hi degree 0 at x=0
+            system.evaluate([0.0])  # Hi degree 0 at x=0
 
     def test_raising_a_clip_level_never_lowers_the_curve(self):
         xs = U.samples(501)
