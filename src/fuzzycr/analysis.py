@@ -277,11 +277,19 @@ def surface_grid(
     return {v: values[v].reshape(n, n) for v in variants}
 
 
+def _scaled_to_unit(values: list[float]) -> list[float]:
+    """``values`` times the power of two that brings the largest below 1."""
+    _, exponent = math.frexp(max(abs(v) for v in values))
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample correlation coefficient of two equal-length series.
 
     Computed from centered sums, which is the numerically stable equivalent
     of (N*sum(xy) - sum(x)sum(y)) / sqrt((N*sum(x^2) - sum(x)^2)(N*sum(y^2) - sum(y)^2)).
+    Each series' deviations are scaled by a power of two to below 1 in size,
+    which is exact and keeps the squares from overflowing or underflowing.
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
@@ -292,8 +300,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("correlation needs at least two samples")
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
-    dx = [v - mx for v in xs]
-    dy = [v - my for v in ys]
+    dx = _scaled_to_unit([v - mx for v in xs])
+    dy = _scaled_to_unit([v - my for v in ys])
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
     if var_x <= 0 or var_y <= 0:

@@ -109,8 +109,8 @@ def _terms(family: str, triangles) -> tuple[LinguisticTerm, ...]:
     return tuple(terms)
 
 
-def _variable(name: str, family: str, triangles, kind: str) -> LinguisticVariable:
-    return LinguisticVariable(name, UNIVERSE, _terms(family, triangles), kind)
+def _variable(name: str, family: str, triangles) -> LinguisticVariable:
+    return LinguisticVariable(name, UNIVERSE, _terms(family, triangles))
 
 
 _FIVE = _ladder_triangles(FIVE_LEVELS, 25.0)
@@ -168,7 +168,6 @@ DECISION_OUTPUT: dict[DecisionId, str] = {
 class VariableCatalog:
     """All input and output variables for one membership-function family."""
 
-    family: str
     inputs: dict[str, LinguisticVariable]
     outputs: dict[str, LinguisticVariable]
 
@@ -186,14 +185,14 @@ def standard_catalog(family: str = "triangular") -> VariableCatalog:
     Callers share the returned catalog, so they must not mutate its dicts.
     """
     inputs = {
-        name: _variable(name, family, triangles, "input")
+        name: _variable(name, family, triangles)
         for name, triangles in _INPUT_SPECS
     }
     outputs = {
-        name: _variable(name, family, triangles, "output")
+        name: _variable(name, family, triangles)
         for name, triangles in _OUTPUT_SPECS
     }
-    return VariableCatalog(family, inputs, outputs)
+    return VariableCatalog(inputs, outputs)
 
 
 def sugeno_levels(decision: DecisionId) -> dict[str, float]:

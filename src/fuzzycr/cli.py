@@ -55,6 +55,13 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``CliError`` on a bad argument; subparsers share the class."""
+
+    def error(self, message: str):
+        raise CliError(message)
+
+
 @dataclass
 class CliConfig:
     """Options loadable from a ``key = value`` config file."""
@@ -189,10 +196,11 @@ def _fixed_value(args: argparse.Namespace, config: CliConfig) -> float:
     return _parse_number(args.fixed, "--fixed")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Numbers are written with ``CSV_FORMAT``, strings as they are."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(CSV_FORMAT % v for v in row))
+        lines.append(",".join([v if isinstance(v, str) else CSV_FORMAT % v for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -288,13 +296,9 @@ def cmd_tables(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def _write_correlation_csv(path: Path, sweeps) -> None:
-    report = correlation_report(sweeps)
-    header = ["input_parameter", *(name for name, _, _ in CORRELATION_PAIRS)]
-    lines = [",".join(header)]
-    for key, row in report:
-        cells = [key] + [CSV_FORMAT % row[name] for name, _, _ in CORRELATION_PAIRS]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    names = [name for name, _, _ in CORRELATION_PAIRS]
+    rows = [[key, *(row[name] for name in names)] for key, row in correlation_report(sweeps)]
+    _write_csv(path, ["input_parameter", *names], rows)
 
 
 def cmd_correlate(args: argparse.Namespace, config: CliConfig) -> int:
@@ -393,7 +397,7 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuzzycr",
         description="Fuzzy spectrum-decision toolkit: evaluate, sweep, and compare engines.",
     )
@@ -449,9 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(Path(args.config)) if args.config else CliConfig()
         return args.func(args, config)
     except (CliError, FuzzyError, RuleParseError, ValueError, OSError) as exc:

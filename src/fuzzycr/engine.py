@@ -1,9 +1,10 @@
 """Mamdani and Sugeno inference engines.
 
 A :class:`FuzzySystem` compiles itself at construction into read-only index
-arrays, and :meth:`FuzzySystem.evaluate` (one decision) and
-:meth:`FuzzySystem.evaluate_batch` (N rows) run that one compiled kernel. Both
-are pure and reentrant, so systems can be evaluated from many threads at once.
+arrays. :meth:`FuzzySystem.evaluate_batch` checks and clamps N rows and runs
+that compiled kernel on them; :meth:`FuzzySystem.evaluate` is the same call on
+one row. Both are pure and reentrant, so systems can be evaluated from many
+threads at once.
 
 ``firing_strength``, ``aggregate_clipped`` and ``defuzz_centroid`` compute the
 same inference rule by rule. No system calls them; they are the independent
@@ -12,7 +13,6 @@ reference the kernel is tested against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
@@ -383,12 +383,9 @@ class FuzzySystem:
             resolved.append(rule)
         return tuple(resolved)
 
-    def assignments(self, x: Union[Sequence[float], Mapping[str, float]]) -> dict[str, float]:
-        """Resolve positional or named inputs to a name -> value mapping.
-
-        Out-of-range values, ±inf included, are clamped to the input's
-        universe; NaN is rejected with a ``ValueError`` naming the input.
-        """
+    def evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
+        """One decision: ``evaluate_batch`` on the one row ``x``, given by
+        position or by name. Named inputs must be exactly ``input_names``."""
         if isinstance(x, Mapping):
             unknown = set(x) - set(self.input_names)
             if unknown:
@@ -396,45 +393,28 @@ class FuzzySystem:
             missing = set(self.input_names) - set(x)
             if missing:
                 raise ValueError(f"missing inputs: {sorted(missing)}")
-            values = [x[name] for name in self.input_names]
-        else:
-            values = list(x)
-            if len(values) != len(self.inputs):
-                raise ValueError(
-                    f"expected {len(self.inputs)} inputs, got {len(values)}"
-                )
-        resolved = {}
-        for var, value in zip(self.inputs, values):
-            value = float(value)
-            if math.isnan(value):
-                raise ValueError(f"input {var.name!r} is NaN")
-            resolved[var.name] = var.universe.clamp(value)
-        return resolved
-
-    def evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
-        """One decision: the compiled kernel on the one row of clamped
-        ``assignments(x)``. Sugeno outputs, which affine consequents can push
-        outside the output universe, are clamped to it."""
-        row = np.array([list(self.assignments(x).values())])
-        return float(self._compiled.evaluate(row)[0])
+            x = [x[name] for name in self.input_names]
+        return float(self.evaluate_batch([x])[0])
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
         """Evaluate N rows at once: an N x n_inputs array, columns in
         ``input_names`` order, to N crisp outputs.
 
-        Equal to ``evaluate`` on each row up to rounding: inputs are clamped
-        to their universes, a NaN raises a ``ValueError`` naming its input,
-        Sugeno outputs are clamped to the output universe, and a row whose
-        aggregate is empty raises ``EmptyAggregateError``. Rows are evaluated
-        ``BATCH_ROWS`` at a time.
+        Inputs are clamped to their universes, a NaN raises a ``ValueError``
+        naming its input, Sugeno outputs are clamped to the output universe,
+        and a row whose aggregate is empty raises ``EmptyAggregateError``.
+        Rows are evaluated ``BATCH_ROWS`` at a time.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(self.inputs):
             raise ValueError(
                 f"expected an N x {len(self.inputs)} input array, got shape {x.shape}"
             )
-        nan = np.isnan(x).any(axis=0)
-        if nan.any():
-            raise ValueError(f"input {self.input_names[int(np.argmax(nan))]!r} is NaN")
+        # a single row is the common case, so scan the whole array for NaN
+        # before finding its column, and clamp with maximum/minimum, which
+        # cost less than np.clip on small arrays
+        if np.isnan(x).any():
+            column = int(np.argmax(np.isnan(x).any(axis=0)))
+            raise ValueError(f"input {self.input_names[column]!r} is NaN")
         compiled = self._compiled
-        return compiled.evaluate(np.clip(x, compiled.lo, compiled.hi))
+        return compiled.evaluate(np.minimum(np.maximum(x, compiled.lo), compiled.hi))

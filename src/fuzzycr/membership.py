@@ -141,14 +141,11 @@ class LinguisticVariable:
     name: str
     universe: Universe
     terms: tuple[LinguisticTerm, ...]
-    kind: str = "input"  # "input" | "output"
     _index: dict[str, LinguisticTerm] = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
     def __post_init__(self) -> None:
-        if self.kind not in ("input", "output"):
-            raise ValueError(f"kind must be 'input' or 'output', got {self.kind!r}")
         if len(self.terms) < 2:
             raise ValueError(f"variable {self.name!r} needs at least 2 terms")
         index: dict[str, LinguisticTerm] = {}

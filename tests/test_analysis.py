@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzzycr import analysis
 from fuzzycr.analysis import (
@@ -187,7 +187,6 @@ class TestSurface:
                 LinguisticTerm("Mid", Triangular(0, 50, 100)),
                 LinguisticTerm("High", Triangular(50, 100, 100)),
             ),
-            "output",
         )
         rules = [
             Rule.of({"a": "Lo", "b": "Lo"}, "Low"),
@@ -239,6 +238,8 @@ class TestPearson:
         st.floats(0.01, 100),
         st.floats(-100, 100),
     )
+    # deviations near 1e-157 once squared to subnormals and lost digits
+    @example(ys=[8.567872043216221e-158, 0.0, 0.0], a=0.25, b=0.0)
     def test_affine_invariance(self, ys, a, b):
         xs = list(range(len(ys)))
         try:
@@ -247,6 +248,13 @@ class TestPearson:
             return
         shifted = pearson([a * x + b for x in xs], ys)
         assert shifted == pytest.approx(base, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    def test_scale_of_a_series_does_not_matter(self, scale):
+        # at 1e160 and 1e-170 the squared deviations overflow or underflow
+        assert pearson([0.0, 1.0, 2.0], [scale, 0.0, 0.0]) == pytest.approx(
+            -(3 ** 0.5) / 2, abs=1e-15
+        )
 
     def test_degenerate_series_rejected(self):
         with pytest.raises(DegenerateSeriesError, match="degenerate"):

@@ -171,7 +171,6 @@ X_VAR = LinguisticVariable(
 Y_VAR = LinguisticVariable(
     "y", U,
     (LinguisticTerm("Low", Triangular(0, 0, 60)), LinguisticTerm("High", Triangular(40, 100, 100))),
-    "output",
 )
 
 

@@ -299,6 +299,16 @@ BAD_INPUTS = {
         lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
                      "--vary-b", "interference", "--fixed=-nan", "--out-dir", str(tmp)],
         "--fixed must be finite, got nan"),
+    "sweep-fixed-minus-inf": (
+        lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                     "--fixed", "-inf", "--out", str(tmp / "sweep.csv")],
+        "argument --fixed: expected one argument"),
+    "surface-step-not-a-number": (
+        lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                     "--vary-b", "interference", "--step", "abc", "--out-dir", str(tmp)],
+        "argument --step: invalid float value: 'abc'"),
+    "eval-no-decision": (lambda tmp: ["eval"],
+                         "the following arguments are required: --decision"),
 }
 
 

@@ -51,7 +51,7 @@ def make_output():
         LinguisticTerm("Mid", Triangular(25, 50, 75)),
         LinguisticTerm("Top", Triangular(75, 100, 100)),
     )
-    return LinguisticVariable("y", U, terms, "output")
+    return LinguisticVariable("y", U, terms)
 
 
 def mamdani_system(rules, resolution=1001):
@@ -258,12 +258,21 @@ class TestSystemValidation:
         affine = FuzzySystem(
             [make_input()],
             make_output(),
-            [Rule.of({"x": "Lo"}, SugenoConsequent(10.0, (("x", 0.5),)))],
+            [
+                Rule.of({"x": "Lo"}, SugenoConsequent(10.0, (("x", 0.5),))),
+                Rule.of({"x": "Hi"}, SugenoConsequent(20.0, (("x", 0.5),))),
+            ],
             EngineConfig.sugeno(),
         )
-        # the affine consequent sees the clamped value too
+        # the affine consequents see the clamped value too
         assert affine.evaluate([float("-inf")]) == affine.evaluate([0.0]) == 10.0
-        assert affine.assignments([float("inf")]) == {"x": 100.0}
+        assert affine.evaluate([float("inf")]) == affine.evaluate([100.0]) == 70.0
+
+    def test_wrong_positional_count_rejected(self):
+        system = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])
+        for x in ([], [25.0, 50.0]):
+            with pytest.raises(ValueError, match="N x 1"):
+                system.evaluate(x)
 
     def test_rule_needs_antecedents(self):
         with pytest.raises(ValueError, match="antecedent"):
