@@ -13,13 +13,15 @@ reference the kernel is tested against.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .membership import Gaussian, LinguisticVariable
+from .membership import Gaussian, LinguisticVariable, MembershipFunction, Universe
 
 __all__ = [
     "EngineKind",
@@ -36,9 +38,21 @@ __all__ = [
     "defuzz_centroid",
 ]
 
-# Rows per chunk of FuzzySystem.evaluate_batch. Bounds the chunk's
-# N x resolution aggregate (64 x 1001 doubles, 0.5 MB) for any batch size.
+# Rows per chunk of FuzzySystem.evaluate_batch. Bounds the chunk's working
+# arrays, N x rules strengths and N x subsets x labels clip levels (64 x 125
+# and 64 x 31 x 5 doubles, under 0.1 MB each), for any batch size.
 BATCH_ROWS = 64
+
+# Most label subsets a Mamdani output's centroid tables may hold: all subsets
+# of six labels that overlap everywhere, as Gaussians do.
+MAX_LABEL_SUBSETS = 63
+
+# Distinct (output terms, universe, resolution) table sets kept for sharing.
+CENTROID_CACHE_SIZE = 16
+
+# Clip levels below which a centroid's products may leave the normal range
+# of doubles and lose precision, so the kernel scales their rows up first.
+SMALL_LEVEL = 2.0 ** -500
 
 
 class FuzzyError(Exception):
@@ -167,6 +181,13 @@ def aggregate_clipped(
     return AggregateCurve(xs, combined)
 
 
+def _upscale(peaks: np.ndarray) -> np.ndarray:
+    """The power of two, from 1 to 2^1023, that takes each nonnegative peak
+    to at least 1/2, or as near as it can: a subnormal peak to at least
+    2^-51. 1 for a zero peak. Multiplying by it is exact."""
+    return np.ldexp(1.0, np.clip(-np.frexp(peaks)[1], 0, 1023))
+
+
 def defuzz_centroid(curve: AggregateCurve) -> float:
     """Discrete centroid sum(x * mu) / sum(mu) over the uniform samples.
 
@@ -174,7 +195,9 @@ def defuzz_centroid(curve: AggregateCurve) -> float:
     centroid equal to the continuous one to O(h^2) even when the curve is
     nonzero at a universe edge.
     """
-    weighted = curve.degrees.copy()
+    # scaled by a power of two, as the kernel does, so that a subnormal curve
+    # keeps its precision; the ratio does not change
+    weighted = curve.degrees * _upscale(curve.degrees.max())
     weighted[[0, -1]] *= 0.5
     total = float(weighted.sum())
     if total <= 0.0:
@@ -186,6 +209,104 @@ def defuzz_centroid(curve: AggregateCurve) -> float:
 defuzzify = defuzz_centroid
 
 
+def _label_subsets(profiles: list[np.ndarray]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Every label subset whose minimum profile is nonzero somewhere, with
+    that minimum. Such subsets are closed under removing a label, so each is
+    found by extending a smaller one with a later label."""
+    subsets = [((label,), p) for label, p in enumerate(profiles) if p.any()]
+    for members, q in subsets:  # the loop also visits the subsets it appends
+        for label in range(members[-1] + 1, len(profiles)):
+            overlap = np.minimum(q, profiles[label])
+            if overlap.any():
+                subsets.append((members + (label,), overlap))
+                if len(subsets) > MAX_LABEL_SUBSETS:
+                    widest = int((np.array(profiles) > 0.0).sum(axis=0).max())
+                    raise ValueError(
+                        f"needs at least {max(len(subsets), 2 ** widest - 1)} label "
+                        f"subsets for its centroid tables; at most "
+                        f"{MAX_LABEL_SUBSETS} are supported (six labels that overlap)"
+                    )
+    return subsets
+
+
+class _CentroidTables:
+    """The end-weighted centroid of max-aggregated clipped output profiles,
+    as lookups in read-only tables.
+
+    The aggregate at sample x_k is max_l min(c_l, P_l(x_k)). The maximum-
+    minimums identity writes it as sum over label subsets S of
+    (-1)^(|S|+1) min(c_S, Q_S(x_k)), with c_S and Q_S the minimum level and
+    minimum profile over S; a subset whose Q_S is zero everywhere drops out.
+    So sum_k min(c_S, Q_S(x_k)) and its x-weighted sum, piecewise linear in
+    the one threshold c_S, give the centroid's mass and moment exactly.
+
+    Subsets with equal Q_S share one table: its nonzero Q_S values sorted,
+    with prefix sums of q and x q and suffix sums of x. Table k sits in the
+    flat arrays as complex keys k + q i, which numpy orders by real part and
+    then by imaginary part, and ends in a sentinel key k + 2i. So one
+    ``np.searchsorted`` of k + c_S i finds, for every subset of every row,
+    the index j that splits its table at c_S, comparing c_S with each q
+    exactly. The trapezoid halves of the two end samples are subtracted
+    afterwards.
+    """
+
+    def __init__(
+        self, mfs: tuple[MembershipFunction, ...], universe: Universe, resolution: int
+    ) -> None:
+        xs = universe.samples(resolution)
+        subsets = _label_subsets([mf.profile(xs) for mf in mfs])
+        table_of: dict[bytes, int] = {}
+        table, distinct = [], []
+        for _, q in subsets:
+            table.append(table_of.setdefault(q.tobytes(), len(table_of)))
+            if table[-1] == len(distinct):
+                distinct.append(q)
+        del table_of  # free its copies before allocating the tables
+        # table k fills [starts[k], starts[k + 1]): its nonzero q, then the sentinel
+        starts = np.cumsum([0] + [np.count_nonzero(q) + 1 for q in distinct])
+        self.keys = np.empty(starts[-1], dtype=complex)
+        self.below_q = np.zeros(starts[-1])  # sum of q before each key, in its table
+        self.below_xq = np.zeros(starts[-1])  # sum of x q before each key, in its table
+        self.above_x = np.zeros(starts[-1])  # sum of x from each key on, in its table
+        for k, q in enumerate(distinct):
+            order = np.flatnonzero(q)
+            order = order[np.argsort(q[order], kind="stable")]
+            qs, x = q[order], xs[order]
+            first, sentinel = starts[k], starts[k + 1] - 1
+            self.keys[first:sentinel + 1] = k + 1j * np.append(qs, 2.0)
+            self.below_q[first + 1:sentinel + 1] = np.cumsum(qs)
+            self.below_xq[first + 1:sentinel + 1] = np.cumsum(x * qs)
+            self.above_x[first:sentinel] = np.cumsum(x[::-1])[::-1]
+        # one column per subset; there are none when every label is zero on
+        # the universe, which leaves every aggregate empty
+        width = max((len(members) for members, _ in subsets), default=1)
+        self.members = np.array(  # width x S; a short subset repeats a label
+            [members + members[:1] * (width - len(members)) for members, _ in subsets],
+            dtype=np.intp,
+        ).reshape(-1, width).T
+        self.signs = np.array([1.0 if len(members) % 2 else -1.0 for members, _ in subsets])
+        self.table = np.array(table, dtype=float)  # the subset's table index k
+        self.ends = starts[1:][table] - 1  # the flat index of its table's sentinel
+        # 2 x S: Q_S at the first and last sample
+        self.q_ends = np.array([[q[0] for _, q in subsets], [q[-1] for _, q in subsets]])
+        # 2S x 2: the share of Q_S at the first and last sample in the signed
+        # mass and moment, which the trapezoid rule halves
+        self.end_weights = 0.5 * np.column_stack(
+            (np.tile(self.signs, 2), np.outer(xs[[0, -1]], self.signs).ravel())
+        )
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=CENTROID_CACHE_SIZE)
+def _centroid_tables(
+    mfs: tuple[MembershipFunction, ...], universe: Universe, resolution: int
+) -> _CentroidTables:
+    """Centroid tables of labels with these membership functions, sampled at
+    ``resolution`` points; outputs with equal terms share them."""
+    return _CentroidTables(mfs, universe, resolution)
+
+
 class _CompiledSystem:
     """A system as read-only index arrays, evaluated one chunk of rows at a
     time.
@@ -195,9 +316,9 @@ class _CompiledSystem:
     an N x (T + 1) matrix whose last column is the constant 1, so the R x k
     antecedent matrix pads short rules with index T. Mamdani rules are sorted
     by consequent label, so one ``np.maximum.reduceat`` turns rule strengths
-    into clip levels, which clip the rows of an L x resolution matrix of
-    sampled output terms; Sugeno rules keep their order, with constants and
-    an R x n slope matrix.
+    into one clip level per label used, and the output's shared
+    :class:`_CentroidTables` turn those into centroids; Sugeno rules keep
+    their order, with constants and an R x n slope matrix.
     """
 
     def __init__(self, system: "FuzzySystem") -> None:
@@ -235,9 +356,14 @@ class _CompiledSystem:
             rules = [rules[r] for r in order]
             labels = np.array(labels)[order]
             self.label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            self.profile_rows = labels[self.label_starts]
-            self.xs = system.output.universe.samples(system.config.resolution)
-            self.profiles = np.array([t.mf.profile(self.xs) for t in system.output.terms])
+            terms = system.output.terms
+            try:
+                self.tables = _centroid_tables(
+                    tuple(terms[label].mf for label in labels[self.label_starts]),
+                    system.output.universe, system.config.resolution,
+                )
+            except ValueError as error:
+                raise ValueError(f"output {system.output.name!r} {error}") from None
         else:
             self.output_range = (system.output.universe.lo, system.output.universe.hi)
             names = system.input_names
@@ -282,35 +408,46 @@ class _CompiledSystem:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Crisp outputs of clamped rows, ``BATCH_ROWS`` at a time."""
         out = np.empty(len(x))
-        if self.mamdani:
-            # two chunk-sized curve buffers, reused by every chunk
-            curves = np.empty((min(len(x), BATCH_ROWS), self.xs.size))
-            clipped = np.empty_like(curves)
         for start in range(0, len(x), BATCH_ROWS):
             chunk = x[start:start + BATCH_ROWS]
             strengths = self.fire(self.fuzzify(chunk))
             rows = slice(start, start + len(chunk))
             if self.mamdani:
-                out[rows] = self.centroids(strengths, curves[:len(chunk)], clipped[:len(chunk)])
+                levels = np.maximum.reduceat(strengths, self.label_starts, axis=1)
+                out[rows] = self.centroids(levels)
             else:
                 out[rows] = self.weighted_averages(chunk, strengths)
         return out
 
-    def centroids(self, strengths: np.ndarray, curves: np.ndarray,
-                  clipped: np.ndarray) -> np.ndarray:
-        """Clip each label at its strongest rule, max-aggregate, and take the
-        end-weighted centroid of each row, as ``defuzz_centroid`` does."""
-        levels = np.maximum.reduceat(strengths, self.label_starts, axis=1)
-        curves.fill(0.0)
-        for label, row in enumerate(self.profile_rows):
-            np.minimum(levels[:, label, None], self.profiles[row], out=clipped)
-            np.maximum(curves, clipped, out=curves)
-        curves[:, 0] *= 0.5
-        curves[:, -1] *= 0.5
-        totals = curves.sum(axis=1)
+    def centroids(self, levels: np.ndarray) -> np.ndarray:
+        """Clip each used label at its level (N x labels used, in output
+        order), max-aggregate, and take the end-weighted centroid of each
+        row, as ``defuzz_centroid`` does on the sampled curve, by lookups in
+        ``tables``: for each subset S, sum_k min(c_S, Q_S(x_k)) is the sum of
+        the table's q below c_S plus c_S once for each q from c_S on."""
+        t = self.tables
+        c = np.minimum.reduce(levels[:, t.members], axis=1)
+        j = np.searchsorted(t.keys, t.table + 1j * c)
+        below_q, below_xq = t.below_q[j], t.below_xq[j]
+        ends = np.minimum(c[:, None], t.q_ends).reshape(len(c), -1)
+        peaks = levels.max(axis=1, initial=0.0)
+        if peaks.min() < SMALL_LEVEL:
+            # Scale each row by the power of two that takes its highest level
+            # to about 1/2. That is exact and leaves the ratio as it is, but
+            # keeps the products of subnormal levels from rounding to a few
+            # units. The q below c_S sum to at most resolution x c_S, so
+            # nothing overflows.
+            scale = _upscale(peaks)[:, None]
+            c, ends = c * scale, ends * scale
+            below_q, below_xq = below_q * scale, below_xq * scale
+        mass = below_q + c * (t.ends - j)
+        moment = below_xq + c * t.above_x[j]
+        # the trapezoid halves of the first and last samples
+        halves = ends @ t.end_weights
+        totals = mass @ t.signs - halves[:, 0]
         if not (totals > 0.0).all():
             raise EmptyAggregateError("empty aggregate")
-        return curves @ self.xs / totals
+        return (moment @ t.signs - halves[:, 1]) / totals
 
     def weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
         """Strength-weighted average of the affine consequents, clamped to the
@@ -400,12 +537,13 @@ class FuzzySystem:
         """Evaluate N rows at once: an N x n_inputs array, columns in
         ``input_names`` order, to N crisp outputs.
 
-        Inputs are clamped to their universes, a NaN raises a ``ValueError``
-        naming its input, Sugeno outputs are clamped to the output universe,
+        Inputs are clamped to their universes, a NaN or an entry that is not
+        a number (``None`` converts to NaN) raises a ``ValueError`` naming its
+        input, Sugeno outputs are clamped to the output universe,
         and a row whose aggregate is empty raises ``EmptyAggregateError``.
         Rows are evaluated ``BATCH_ROWS`` at a time.
         """
-        x = np.asarray(x, dtype=float)
+        rows, x = x, np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(self.inputs):
             raise ValueError(
                 f"expected an N x {len(self.inputs)} input array, got shape {x.shape}"
@@ -414,7 +552,12 @@ class FuzzySystem:
         # before finding its column, and clamp with maximum/minimum, which
         # cost less than np.clip on small arrays
         if np.isnan(x).any():
-            column = int(np.argmax(np.isnan(x).any(axis=0)))
-            raise ValueError(f"input {self.input_names[column]!r} is NaN")
+            nan = np.isnan(x)
+            column = int(np.argmax(nan.any(axis=0)))
+            entry = rows[int(np.argmax(nan[:, column]))][column]
+            name = self.input_names[column]
+            if not isinstance(entry, numbers.Real):
+                raise ValueError(f"input {name!r} is not a number: {entry!r}")
+            raise ValueError(f"input {name!r} is NaN")
         compiled = self._compiled
         return compiled.evaluate(np.minimum(np.maximum(x, compiled.lo), compiled.hi))

@@ -89,12 +89,25 @@ class TestBuildSystemMemo:
         compiled = build_system(DecisionId.CHANNEL_SELECTION, variant)._compiled
         names = ["antecedents", "lo", "hi", "gaussians", "triangle_terms",
                  "triangle_input", "gaussian_terms", "gaussian_input"]
-        names += (["profiles", "xs", "label_starts", "profile_rows"] if compiled.mamdani
-                  else ["constants", "slopes"])
+        names += ["label_starts"] if compiled.mamdani else ["constants", "slopes"]
         arrays = [getattr(compiled, name) for name in names] + list(compiled.triangles)
+        if compiled.mamdani:
+            tables = vars(compiled.tables)
+            assert set(tables) == {"members", "signs", "table", "ends", "q_ends",
+                                   "end_weights", "keys", "below_q", "below_xq", "above_x"}
+            arrays += tables.values()
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+    @pytest.mark.parametrize("variant", [VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI],
+                             ids=lambda v: v.value)
+    def test_five_label_outputs_share_one_set_of_centroid_tables(self, variant):
+        five_label = [DecisionId.CHANNEL_SELECTION, DecisionId.ACCESS_SPECTRUM,
+                      DecisionId.ACCESS_LATENCY, DecisionId.BANDWIDTH_ALLOCATION]
+        systems = [build_system(decision, variant) for decision in five_label]
+        assert all(len(fs.output.terms) == 5 for fs in systems)
+        assert len({id(fs._compiled.tables) for fs in systems}) == 1
 
     def test_the_cache_holds_every_standard_system(self):
         assert analysis.BUILD_CACHE_SIZE >= len(DecisionId) * len(VariantId)

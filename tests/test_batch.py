@@ -9,12 +9,13 @@ an independent computation, not to itself.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzycr.analysis import VariantId, build_system
 from fuzzycr.catalog import DECISION_INPUTS, DecisionId, sugeno_levels
 from fuzzycr.engine import (
     BATCH_ROWS,
+    MAX_LABEL_SUBSETS,
     EmptyAggregateError,
     EngineConfig,
     EngineKind,
@@ -155,6 +156,23 @@ def test_nan_in_any_row_is_named(case, data):
         fs.evaluate_batch(x)
 
 
+@pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
+def test_an_entry_that_is_not_a_number_is_named(variant):
+    # numpy converts None and the string 'nan' to NaN; the error names what
+    # the caller passed
+    fs = build_system(DecisionId.HANDOFF_STATUS, variant)
+    for x in ([None, 3], {"snr": None, "interference": 3}):
+        with pytest.raises(ValueError, match="input 'snr' is not a number: None"):
+            fs.evaluate(x)
+    with pytest.raises(ValueError, match="input 'snr' is not a number: 'nan'"):
+        fs.evaluate(["nan", 3])
+    with pytest.raises(ValueError, match="input 'interference' is not a number: None"):
+        fs.evaluate_batch([[1.0, 2.0], [3.0, None]])
+    # a NaN the caller passed is still reported as NaN
+    with pytest.raises(ValueError, match="input 'snr' is NaN"):
+        fs.evaluate_batch(np.array([[1.0, 2.0], [np.nan, None]], dtype=object))
+
+
 def test_wrong_shapes_are_rejected():
     fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
     for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 1))):
@@ -174,18 +192,19 @@ Y_VAR = LinguisticVariable(
 )
 
 
-@pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
-def test_mixed_shapes_and_rule_lengths_match_scalar(config):
-    # shoulder triangles, each with a step edge, and a Gaussian in one input;
-    # rules of one and two antecedents
-    mixed = LinguisticVariable(
-        "m", U,
-        (
-            LinguisticTerm("Low", Triangular(0, 0, 50)),
-            LinguisticTerm("Mid", Gaussian(50, 15)),
-            LinguisticTerm("High", Triangular(50, 100, 100)),
-        ),
-    )
+# shoulder triangles, each with a step edge, and a Gaussian
+MIXED_VAR = LinguisticVariable(
+    "m", U,
+    (
+        LinguisticTerm("Low", Triangular(0, 0, 50)),
+        LinguisticTerm("Mid", Gaussian(50, 15)),
+        LinguisticTerm("High", Triangular(50, 100, 100)),
+    ),
+)
+
+
+def mixed_system(config):
+    """Mixed shapes in one input, and rules of one and two antecedents."""
     consequents = ["Low", "High", "High", "Low"]
     if config.kind is EngineKind.SUGENO:
         consequents = [SugenoConsequent(c, (("m", 0.3),)) for c in (10.0, 90.0, 70.0, 5.0)]
@@ -195,13 +214,37 @@ def test_mixed_shapes_and_rule_lengths_match_scalar(config):
         Rule.of({"x": "Hi", "m": "High"}, consequents[2]),
         Rule.of({"m": "Low"}, consequents[3]),
     ]
-    fs = FuzzySystem([X_VAR, mixed], Y_VAR, rules, config)
+    return FuzzySystem([X_VAR, MIXED_VAR], Y_VAR, rules, config)
+
+
+@pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
+def test_mixed_shapes_and_rule_lengths_match_scalar(config):
+    fs = mixed_system(config)
     x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
     assert_parity(fs, x)
 
 
+def one_label_system():
+    return FuzzySystem([X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, "High")], EngineConfig.mamdani())
+
+
+def ladder_system(family, labels):
+    """A Mamdani system whose output is an evenly spaced ladder of ``labels``
+    triangles, or Gaussians of the same FWHM, each the consequent of a rule."""
+    step = 100.0 / (labels - 1)
+    terms = []
+    for i in range(labels):
+        peak = i * step
+        mf = (Triangular(max(0.0, peak - step), peak, min(100.0, peak + step))
+              if family == "triangular" else Gaussian(peak, step / 2.3548))
+        terms.append(LinguisticTerm(f"L{i}", mf))
+    output = LinguisticVariable("ladder", U, tuple(terms))
+    rules = [Rule.of({"x": "Lo" if i < labels / 2 else "Hi"}, f"L{i}") for i in range(labels)]
+    return FuzzySystem([X_VAR], output, rules, EngineConfig.mamdani())
+
+
 def test_empty_aggregate_raises():
-    mamdani = FuzzySystem([X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, "High")], EngineConfig.mamdani())
+    mamdani = one_label_system()
     sugeno = FuzzySystem(
         [X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, SugenoConsequent(50.0))], EngineConfig.sugeno()
     )
@@ -209,6 +252,17 @@ def test_empty_aggregate_raises():
         assert fs.evaluate_batch([[100.0]])[0] == fs.evaluate([100.0])
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
             fs.evaluate_batch([[100.0], [0.0]])
+
+
+def test_a_label_outside_the_universe_leaves_every_aggregate_empty():
+    far = LinguisticTerm("Far", Triangular(150, 200, 250))
+    output = LinguisticVariable("y", U, Y_VAR.terms + (far,))
+    fs = FuzzySystem([X_VAR], output, [Rule.of({"x": "Lo"}, "Far")], EngineConfig.mamdani())
+    for x in ([0.0], [50.0], [100.0]):
+        with pytest.raises(EmptyAggregateError, match="empty aggregate"):
+            fs.evaluate(x)
+        with pytest.raises(EmptyAggregateError, match="empty aggregate"):
+            reference(fs, [x])
 
 
 @settings(max_examples=50, deadline=None)
@@ -262,3 +316,76 @@ def test_raising_a_term_degree_never_lowers_a_clip_level_or_strength(decision, v
         before = np.maximum.reduceat(before, compiled.label_starts, axis=1)
         after = np.maximum.reduceat(after, compiled.label_starts, axis=1)
     assert (after >= before).all()
+
+
+def test_an_output_with_too_many_overlapping_labels_is_rejected():
+    # seven Gaussians overlap everywhere: 127 label subsets
+    with pytest.raises(ValueError, match="output 'ladder' needs at least 127 label subsets"):
+        ladder_system("gaussian", 7)
+    # a triangle ladder overlaps only its neighbours: 7 + 6 subsets
+    fs = ladder_system("triangular", 7)
+    assert len(fs._compiled.tables.signs) == 13 <= MAX_LABEL_SUBSETS
+    assert_parity(fs, np.linspace(-10.0, 110.0, 121)[:, None])
+
+
+def mamdani_systems():
+    """Both Mamdani families of every decision at two resolutions, and the
+    custom systems above."""
+    systems = {
+        f"{d.value}/{v.value}/{resolution}": (
+            lambda d=d, v=v, resolution=resolution: build_system(d, v, resolution)
+        )
+        for d in DecisionId
+        for v in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI)
+        for resolution in (101, 1001)
+    }
+    systems["mixed"] = lambda: mixed_system(EngineConfig.mamdani())
+    systems["one-label"] = one_label_system
+    systems["ladder-7"] = lambda: ladder_system("triangular", 7)
+    systems["gaussian-ladder-6"] = lambda: ladder_system("gaussian", 6)
+    return systems
+
+
+MAMDANI_SYSTEMS = mamdani_systems()
+# A clip level per label: a float, or an int standing for the label's own
+# profile value at that sample index (modulo the resolution), which puts the
+# level on a table entry.
+level = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1e-300, 1.0]),
+    st.integers(0, 1000),
+)
+
+
+@pytest.mark.parametrize("name", MAMDANI_SYSTEMS)
+@settings(max_examples=25, deadline=None)
+@given(levels=st.lists(st.lists(level, min_size=7, max_size=7), min_size=1, max_size=4))
+@example(levels=[[0.0, 0.6, 0.0, 0.3, 0.0, 0.9, 0.0], [0.7, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+@example(levels=[[0.4] * 7, [1.0] * 7])
+@example(levels=[[0, 50, 100, 250, 500, 750, 1000], [0.5, 37, 0.5, 37, 0.5, 37, 0.5]])
+@example(levels=[[0.0, 0.0, 0.0, 0.0, 1, 0.0, 0.0]])  # a Gaussian tail value, about 1e-19
+@example(levels=[[1e-300] * 7, [1e-300, 0.8, 1e-300, 0.0, 1e-300, 0.2, 1e-300]])
+# subnormal levels, whose products round to a few units unless scaled up
+@example(levels=[[5e-324] + [0.0] * 6, [5e-324, 1e-320] + [0.0] * 5])
+@example(levels=[[0.0] * 7])
+def test_centroids_equal_the_sampled_reference(name, levels):
+    # the kernel's centroids of clip levels, one column per label that a rule
+    # uses, against clipping, max-aggregating and the centroid of the curve
+    fs = MAMDANI_SYSTEMS[name]()
+    used = [t for t in fs.output.terms if any(r.consequent == t.label for r in fs.rules)]
+    xs = fs.output.universe.samples(fs.config.resolution)
+    profiles = {t.label: t.mf.profile(xs) for t in used}
+    rows = [
+        [p[v % xs.size] if isinstance(v, int) else v for p, v in zip(profiles.values(), row)]
+        for row in levels
+    ]
+    try:
+        expected = [
+            defuzz_centroid(aggregate_clipped(xs, profiles, dict(zip(profiles, row))))
+            for row in rows
+        ]
+    except EmptyAggregateError:
+        with pytest.raises(EmptyAggregateError, match="empty aggregate"):
+            fs._compiled.centroids(np.array(rows))
+        return
+    assert np.abs(fs._compiled.centroids(np.array(rows)) - expected).max() <= PARITY
