@@ -277,6 +277,20 @@ def surface_grid(
     return {v: values[v].reshape(n, n) for v in variants}
 
 
+def _centered(values: list[float]) -> list[float]:
+    """``values`` less their mean, with the rounding of the mean taken out.
+
+    The float mean can sit an ulp off a constant series, which would leave
+    it equal nonzero deviations. The deviations' exact sum over n is that
+    offset; subtracting it centres a constant series to exact zeros.
+    """
+    n = len(values)
+    mean = math.fsum(values) / n
+    deviations = [v - mean for v in values]
+    offset = math.fsum(deviations) / n
+    return [d - offset for d in deviations]
+
+
 def _scaled_to_unit(values: list[float]) -> list[float]:
     """``values`` times the power of two that brings the largest below 1."""
     _, exponent = math.frexp(max(abs(v) for v in values))
@@ -298,10 +312,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError(f"series lengths differ: {n} vs {len(ys)}")
     if n < 2:
         raise ValueError("correlation needs at least two samples")
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    dx = _scaled_to_unit([v - mx for v in xs])
-    dy = _scaled_to_unit([v - my for v in ys])
+    dx = _scaled_to_unit(_centered(xs))
+    dy = _scaled_to_unit(_centered(ys))
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
     if var_x <= 0 or var_y <= 0:

@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decision", required=True)
     p.add_argument("--variant", help="default: triangular-mamdani")
     p.add_argument("--in", dest="inputs", action="append", metavar="NAME=VALUE",
-                   help="crisp input; unset inputs default to 50")
+                   help="crisp input; unset inputs take fixed_value from --config (50)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="vary one input, write a CSV")

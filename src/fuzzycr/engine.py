@@ -21,7 +21,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .membership import Gaussian, LinguisticVariable, MembershipFunction, Universe
+from .membership import LinguisticVariable, MembershipFunction, Universe
 
 __all__ = [
     "EngineKind",
@@ -209,6 +209,15 @@ def defuzz_centroid(curve: AggregateCurve) -> float:
 defuzzify = defuzz_centroid
 
 
+def _freeze(values) -> None:
+    """Make every array among ``values``, or in their nested tuples, read-only."""
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        elif isinstance(value, tuple):
+            _freeze(value)
+
+
 def _label_subsets(profiles: list[np.ndarray]) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Every label subset whose minimum profile is nonzero somewhere, with
     that minimum. Such subsets are closed under removing a label, so each is
@@ -294,8 +303,7 @@ class _CentroidTables:
         self.end_weights = 0.5 * np.column_stack(
             (np.tile(self.signs, 2), np.outer(xs[[0, -1]], self.signs).ravel())
         )
-        for array in vars(self).values():
-            array.flags.writeable = False
+        _freeze(vars(self).values())
 
 
 @functools.lru_cache(maxsize=CENTROID_CACHE_SIZE)
@@ -311,10 +319,12 @@ class _CompiledSystem:
     """A system as read-only index arrays, evaluated one chunk of rows at a
     time.
 
-    Terms of all inputs form one flat table of T terms: triangles
-    ``(a, b, c)`` and Gaussians ``(mean, sigma)``. Degrees are computed into
-    an N x (T + 1) matrix whose last column is the constant 1, so the R x k
-    antecedent matrix pads short rules with index T. Mamdani rules are sorted
+    Terms of all inputs form one flat table of T terms, grouped by shape
+    class: each group holds its class's ``degrees`` formula, the degree
+    columns and input columns of its terms, and one parameter row per field
+    of the shape. Degrees are computed into an N x (T + 1) matrix whose last
+    column is the constant 1, so the R x k antecedent matrix pads short rules
+    with index T. Mamdani rules are sorted
     by consequent label, so one ``np.maximum.reduceat`` turns rule strengths
     into one clip level per label used, and the output's shared
     :class:`_CentroidTables` turn those into centroids; Sugeno rules keep
@@ -322,30 +332,23 @@ class _CompiledSystem:
     """
 
     def __init__(self, system: "FuzzySystem") -> None:
-        triangles, triangle_terms, gaussians, gaussian_terms = [], [], [], []
-        term_input, term_index = [], {}
+        groups: dict[type, tuple[list, list, list]] = {}
+        term_index = {}
         for column, var in enumerate(system.inputs):
             for term in var.terms:
-                term_index[var.name, term.label] = len(term_input)
-                mf = term.mf
-                if isinstance(mf, Gaussian):
-                    gaussian_terms.append(len(term_input))
-                    gaussians.append((mf.mean, mf.sigma))
-                else:
-                    triangle_terms.append(len(term_input))
-                    triangles.append((mf.a, mf.b, mf.c))
-                term_input.append(column)
+                terms, inputs, params = groups.setdefault(type(term.mf), ([], [], []))
+                terms.append(len(term_index))
+                inputs.append(column)
+                params.append(term.mf.params)
+                term_index[var.name, term.label] = terms[-1]
         self.lo = np.array([v.universe.lo for v in system.inputs])
         self.hi = np.array([v.universe.hi for v in system.inputs])
-        self.n_terms = len(term_input)
-        self.triangle_terms = np.array(triangle_terms, dtype=np.intp)
-        self.triangle_input = np.array(term_input, dtype=np.intp)[self.triangle_terms]
-        a, b, c = np.array(triangles, dtype=float).reshape(-1, 3).T
-        # a zero-width edge is a step; its width of 1 is never used
-        self.triangles = (a, b, c, np.where(b > a, b - a, 1.0), np.where(c > b, c - b, 1.0))
-        self.gaussian_terms = np.array(gaussian_terms, dtype=np.intp)
-        self.gaussian_input = np.array(term_input, dtype=np.intp)[self.gaussian_terms]
-        self.gaussians = np.array(gaussians, dtype=float).reshape(-1, 2).T
+        self.n_terms = len(term_index)
+        self.shapes = tuple(
+            (shape.degrees, np.array(terms, dtype=np.intp), np.array(inputs, dtype=np.intp),
+             tuple(np.array(row, dtype=float) for row in zip(*params)))
+            for shape, (terms, inputs, params) in groups.items()
+        )
 
         self.mamdani = system.config.kind is EngineKind.MAMDANI
         rules = list(system.rules)
@@ -379,22 +382,13 @@ class _CompiledSystem:
                 self.antecedents[r, j] = term_index[antecedent]
         # a system may be shared (``build_system`` memoizes), so none of its
         # arrays may change
-        for value in vars(self).values():
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    array.flags.writeable = False
+        _freeze(vars(self).values())
 
     def fuzzify(self, x: np.ndarray) -> np.ndarray:
         """N x (T + 1) term degrees of clamped rows; the last column is 1."""
         degrees = np.ones((len(x), self.n_terms + 1))
-        a, b, c, rise, fall = self.triangles
-        xt = x[:, self.triangle_input]
-        up = np.where(b > a, np.clip((xt - a) / rise, 0.0, 1.0), xt >= b)
-        down = np.where(c > b, np.clip((c - xt) / fall, 0.0, 1.0), xt <= b)
-        degrees[:, self.triangle_terms] = np.minimum(up, down)
-        mean, sigma = self.gaussians
-        z = (x[:, self.gaussian_input] - mean) / sigma
-        degrees[:, self.gaussian_terms] = np.exp(-0.5 * z * z)
+        for formula, terms, inputs, params in self.shapes:
+            degrees[:, terms] = formula(x[:, inputs], *params)
         return degrees
 
     def fire(self, degrees: np.ndarray) -> np.ndarray:
@@ -456,7 +450,8 @@ class _CompiledSystem:
         totals = strengths.sum(axis=1)
         if not (totals > 0.0).all():
             raise EmptyAggregateError("empty aggregate")
-        return np.clip((strengths * values).sum(axis=1) / totals, *self.output_range)
+        lo, hi = self.output_range
+        return np.minimum(np.maximum((strengths * values).sum(axis=1) / totals, lo), hi)
 
 
 class FuzzySystem:

@@ -7,7 +7,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -36,6 +36,14 @@ def normalize_label(text: str) -> str:
     return text.replace(" ", "").replace("_", "").replace("-", "").lower()
 
 
+def _require_finite(value) -> None:
+    """Reject a dataclass with a field that is NaN or infinite, naming it."""
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if not math.isfinite(v):
+            raise ValueError(f"{type(value).__name__.lower()} needs a finite {f.name}, got {v}")
+
+
 @dataclass(frozen=True)
 class Universe:
     """Closed crisp range a variable lives on."""
@@ -44,6 +52,7 @@ class Universe:
     hi: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.lo < self.hi:
             raise ValueError(f"universe needs lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -54,22 +63,24 @@ class Universe:
         return np.linspace(self.lo, self.hi, resolution)
 
 
-def _ramp_up(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Rising edge: 0 below a, 1 at and above b. a == b degenerates to a step."""
-    if b > a:
-        return np.clip((x - a) / (b - a), 0.0, 1.0)
-    return np.where(x >= b, 1.0, 0.0)
+class _Shape:
+    """A membership function evaluated by its class's one formula,
+    ``degrees(x, *params)``, whose parameter arrays broadcast with x. The
+    compiled kernel calls the same formula with one parameter row per field."""
 
+    @property
+    def params(self) -> tuple[float, ...]:
+        return tuple(getattr(self, f.name) for f in fields(self))
 
-def _ramp_down(x: np.ndarray, b: float, c: float) -> np.ndarray:
-    """Falling edge: 1 at and below b, 0 above c. b == c degenerates to a step."""
-    if c > b:
-        return np.clip((c - x) / (c - b), 0.0, 1.0)
-    return np.where(x <= b, 1.0, 0.0)
+    def profile(self, x: np.ndarray) -> np.ndarray:
+        return self.degrees(np.asarray(x, dtype=float), *self.params)
+
+    def degree(self, x: float) -> float:
+        return float(self.profile(x))
 
 
 @dataclass(frozen=True)
-class Triangular:
+class Triangular(_Shape):
     """Triangle with feet a and c and peak b. An edge foot may coincide with
     the peak, giving a one-sided (shoulder-like) triangle."""
 
@@ -78,6 +89,7 @@ class Triangular:
     c: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not (self.a <= self.b <= self.c):
             raise ValueError(f"triangular needs a <= b <= c, got {self}")
         if self.a == self.c:
@@ -92,31 +104,32 @@ class Triangular:
         """Widest distance from the peak to a foot."""
         return max(self.b - self.a, self.c - self.b)
 
-    def profile(self, x: np.ndarray) -> np.ndarray:
-        return np.minimum(_ramp_up(x, self.a, self.b), _ramp_down(x, self.b, self.c))
-
-    def degree(self, x: float) -> float:
-        return float(self.profile(np.asarray(x, dtype=float)))
+    @staticmethod
+    def degrees(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Each edge is 1 from the peak on (x >= b rising, x <= b falling), so
+        a foot on the peak is an exact step, and a ramp below 1 elsewhere that
+        turns negative past its foot; the lower edge, floored at 0, is the degree."""
+        rise = np.where(x >= b, 1.0, (x - a) / np.where(b > a, b - a, 1.0))
+        fall = np.where(x <= b, 1.0, (c - x) / np.where(c > b, c - b, 1.0))
+        return np.maximum(np.minimum(rise, fall), 0.0)
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Shape):
     """Bell curve exp(-(x - mean)^2 / (2 sigma^2)); never reaches zero."""
 
     mean: float
     sigma: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.sigma > 0:
             raise ValueError(f"gaussian needs sigma > 0, got {self.sigma}")
 
-    def profile(self, x: np.ndarray) -> np.ndarray:
-        z = (x - self.mean) / self.sigma
+    @staticmethod
+    def degrees(x: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        z = (x - mean) / sigma
         return np.exp(-0.5 * z * z)
-
-    def degree(self, x: float) -> float:
-        z = (x - self.mean) / self.sigma
-        return math.exp(-0.5 * z * z)
 
 
 MembershipFunction = Union[Triangular, Gaussian]

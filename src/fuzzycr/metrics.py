@@ -122,7 +122,8 @@ def normalize(raw: float, cal: CalibrationRange) -> float:
 
 
 # Arbitrary but serviceable windows; deployments should calibrate against
-# their own radio environment via the config file.
+# their own radio environment by passing ``calibration=`` to
+# ``RadioScenario.crisp_inputs``. No config key or CLI flag sets them.
 DEFAULT_CALIBRATION: dict[str, CalibrationRange] = {
     "snr": CalibrationRange(-10.0, 30.0),
     "interference": CalibrationRange(0.0, 1000.0),

@@ -3,8 +3,14 @@
 Both methods run one compiled kernel. The reference here rebuilds each
 decision from the per-rule helpers instead (``LinguisticVariable.fuzzify``,
 ``firing_strength``, ``aggregate_clipped``, ``defuzz_centroid``, and a
-weighted average written out below), so the parity tests hold the kernel to
-an independent computation, not to itself.
+weighted average written out below), so the parity tests hold the kernel's
+rule firing, aggregation and defuzzification to an independent computation,
+not to itself.
+
+One layer is shared: the kernel and ``LinguisticVariable.fuzzify`` compute
+degrees with the same per-shape formulas, ``Triangular.degrees`` and
+``Gaussian.degrees``. tests/test_membership.py checks those formulas against
+closed forms written out in plain Python.
 """
 
 import numpy as np
@@ -203,7 +209,19 @@ MIXED_VAR = LinguisticVariable(
 )
 
 
-def mixed_system(config):
+# a Gaussian-only input, and a Gaussian before two triangles, so that the
+# triangle class is first seen in a later input
+GAUSSIAN_X_VAR = LinguisticVariable(
+    "x", U, (LinguisticTerm("Lo", Gaussian(0, 30)), LinguisticTerm("Hi", Gaussian(100, 30))),
+)
+GAUSSIAN_FIRST_VAR = LinguisticVariable("m", U, (MIXED_VAR.terms[1], *MIXED_VAR.terms[::2]))
+MIXED_INPUTS = {
+    "triangles-first": (X_VAR, MIXED_VAR),
+    "gaussians-first": (GAUSSIAN_X_VAR, GAUSSIAN_FIRST_VAR),
+}
+
+
+def mixed_system(config, inputs=MIXED_INPUTS["triangles-first"]):
     """Mixed shapes in one input, and rules of one and two antecedents."""
     consequents = ["Low", "High", "High", "Low"]
     if config.kind is EngineKind.SUGENO:
@@ -214,12 +232,13 @@ def mixed_system(config):
         Rule.of({"x": "Hi", "m": "High"}, consequents[2]),
         Rule.of({"m": "Low"}, consequents[3]),
     ]
-    return FuzzySystem([X_VAR, MIXED_VAR], Y_VAR, rules, config)
+    return FuzzySystem(inputs, Y_VAR, rules, config)
 
 
+@pytest.mark.parametrize("inputs", MIXED_INPUTS.values(), ids=list(MIXED_INPUTS))
 @pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
-def test_mixed_shapes_and_rule_lengths_match_scalar(config):
-    fs = mixed_system(config)
+def test_mixed_shapes_and_rule_lengths_match_scalar(config, inputs):
+    fs = mixed_system(config, inputs)
     x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
     assert_parity(fs, x)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fuzzycr.membership import (
     Gaussian,
@@ -59,6 +59,98 @@ class TestShapes:
     def test_invalid_parameters_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda v: Universe(v, 100), "lo"),
+        (lambda v: Universe(0, v), "hi"),
+        (lambda v: Triangular(v, 50, 100), "a"),
+        (lambda v: Triangular(0, v, 100), "b"),
+        (lambda v: Triangular(0, 50, v), "c"),
+        (lambda v: Gaussian(v, 10), "mean"),
+        (lambda v: Gaussian(50, v), "sigma"),
+    ],
+    ids=["universe-lo", "universe-hi", "triangular-a", "triangular-b", "triangular-c",
+         "gaussian-mean", "gaussian-sigma"],
+)
+def test_non_finite_parameters_are_rejected_by_name(make, name, value):
+    with pytest.raises(ValueError, match=f"needs a finite {name}, got"):
+        make(value)
+
+
+# The closed forms below are written out in plain Python, independent of the
+# array formulas that profiles, fuzzification, the coverage check, the
+# centroid tables and the compiled kernel all share.
+
+
+def triangle_closed_form(x, a, b, c):
+    """0 outside the feet, 1 at the peak, linear in between; a foot on the
+    peak is a step, so x == b reads 1 on either side."""
+    if x < a or x > c:
+        return 0.0
+    if x == b:
+        return 1.0
+    if x < b:
+        return (x - a) / (b - a)
+    return (c - x) / (c - b)
+
+
+def gaussian_closed_form(x, mean, sigma):
+    z = (x - mean) / sigma
+    return math.exp(-0.5 * z * z)
+
+
+# quarter steps, so that feet and peaks coincide with each other and with x
+quarters = st.integers(-400, 400).map(lambda i: i / 4)
+
+
+@st.composite
+def triangle_params(draw):
+    a, b, c = sorted(draw(st.lists(quarters, min_size=3, max_size=3)))
+    # both ramps, or a foot on the peak: a rising or falling step
+    a, b, c = draw(st.sampled_from([(a, b, c), (b, b, c), (a, b, b)]))
+    assume(a < c)
+    return a, b, c
+
+
+def assert_formula_is_closed_form(formula, closed_form, params, xs, rel=0.0, abs=0.0):
+    # one column per parameter tuple, one row per x: the parameter arrays
+    # broadcast against a column of x
+    columns = [np.array(column) for column in zip(*params)]
+    got = formula(np.array(xs)[:, None], *columns)
+    assert got.shape == (len(xs), len(params))
+    for i, x in enumerate(xs):
+        for j, p in enumerate(params):
+            assert got[i, j] == pytest.approx(closed_form(x, *p), rel=rel, abs=abs)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(triangle_params(), min_size=1, max_size=5),
+    st.lists(st.floats(-150, 150), max_size=8),
+)
+def test_triangle_formula_is_the_piecewise_closed_form(params, xs):
+    # every foot and peak is also an x, since the steps sit there
+    xs = xs + [v for p in params for v in p]
+    assert_formula_is_closed_form(Triangular.degrees, triangle_closed_form, params, xs)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(st.floats(-100, 100), st.floats(0.01, 100)), min_size=1, max_size=5),
+    st.lists(st.floats(-150, 150), max_size=8),
+)
+def test_gaussian_formula_is_the_closed_form(params, xs):
+    xs = xs + [mean for mean, _ in params]
+    assert_formula_is_closed_form(
+        Gaussian.degrees, gaussian_closed_form, params, xs, rel=1e-15, abs=1e-300
+    )
 
 
 @given(st.floats(-50, 150))
