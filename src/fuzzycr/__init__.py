@@ -18,6 +18,7 @@ from .analysis import (
     correlation_report,
     pearson,
     run_sweep,
+    run_sweeps,
     standard_sweep_results,
     surface_grid,
     trend_violations,

@@ -8,8 +8,10 @@ deterministic, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +33,7 @@ __all__ = [
     "build_system",
     "check_sugeno_consequents",
     "run_sweep",
+    "run_sweeps",
     "surface_grid",
     "pearson",
     "correlation_report",
@@ -187,11 +190,23 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
-    rows: tuple[tuple[float, dict[VariantId, float]], ...]
+    """Each variant's outputs over the spec's grid, one column per variant in
+    grid order."""
 
-    def column(self, variant: VariantId) -> list[float]:
-        return [values[variant] for _, values in self.rows]
+    spec: SweepSpec
+    columns: Mapping[VariantId, tuple[float, ...]]
+
+    def column(self, variant: VariantId) -> tuple[float, ...]:
+        return self.columns[variant]
+
+    @property
+    def rows(self) -> tuple[tuple[float, dict[VariantId, float]], ...]:
+        """``(grid value, {variant: output})`` per grid point, read from the
+        columns."""
+        return tuple(
+            (x, {v: self.columns[v][i] for v in self.spec.variants})
+            for i, x in enumerate(self.spec.grid)
+        )
 
 
 SystemFactory = Callable[[DecisionId, VariantId], FuzzySystem]
@@ -226,23 +241,47 @@ def _evaluate_variants(
     return out
 
 
-def run_sweep(spec: SweepSpec, system_for: SystemFactory = build_system) -> SweepResult:
-    """Evaluate every variant across the grid with the other inputs pinned.
+def run_sweeps(
+    specs: Sequence[SweepSpec], system_for: SystemFactory = build_system
+) -> list[SweepResult]:
+    """Evaluate every spec's variants across its grid with the other inputs
+    pinned; results in the order of ``specs``.
 
-    ``system_for(decision, variant)`` builds each variant's system.
+    The grids of all specs with the same decision and variants are stacked
+    into one input matrix, so each of those variants' systems is evaluated in
+    one batch. ``system_for(decision, variant)`` builds each variant's system.
     """
-    names = DECISION_INPUTS[spec.decision]
-    x = np.full((len(spec.grid), len(names)), spec.fixed_value)
-    x[:, names.index(spec.varied)] = spec.grid
-    columns = _evaluate_variants(
-        spec.decision, spec.variants, system_for, x,
-        lambda i: f"{spec.varied}={spec.grid[i]:g}",
-    )
-    rows = tuple(
-        (value, {v: float(columns[v][i]) for v in spec.variants})
-        for i, value in enumerate(spec.grid)
-    )
-    return SweepResult(spec, rows)
+    groups: dict[tuple[DecisionId, tuple[VariantId, ...]], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.decision, spec.variants), []).append(i)
+    results: list[SweepResult | None] = [None] * len(specs)
+    for (decision, variants), members in groups.items():
+        names = DECISION_INPUTS[decision]
+        blocks = []
+        for i in members:
+            spec = specs[i]
+            block = np.full((len(spec.grid), len(names)), spec.fixed_value)
+            block[:, names.index(spec.varied)] = spec.grid
+            blocks.append(block)
+        starts = list(itertools.accumulate((len(block) for block in blocks), initial=0))
+
+        def point(row: int) -> str:
+            k = bisect.bisect_right(starts, row) - 1
+            spec = specs[members[k]]
+            return f"{spec.varied}={spec.grid[row - starts[k]]:g}"
+
+        outputs = _evaluate_variants(decision, variants, system_for, np.vstack(blocks), point)
+        lists = {v: outputs[v].tolist() for v in variants}
+        for k, i in enumerate(members):
+            start, stop = starts[k], starts[k + 1]
+            columns = {v: tuple(lists[v][start:stop]) for v in variants}
+            results[i] = SweepResult(specs[i], columns)
+    return results
+
+
+def run_sweep(spec: SweepSpec, system_for: SystemFactory = build_system) -> SweepResult:
+    """``run_sweeps`` of the one spec."""
+    return run_sweeps([spec], system_for)[0]
 
 
 def surface_grid(
@@ -355,11 +394,11 @@ CORRELATION_PAIRS = (
 def standard_sweep_results(
     system_for: SystemFactory = build_system,
 ) -> dict[str, SweepResult]:
-    """All fourteen standard sweeps, keyed by sweep name."""
-    return {
-        key: run_sweep(SweepSpec(decision, varied), system_for)
-        for key, decision, varied in STANDARD_SWEEPS
-    }
+    """All fourteen standard sweeps, keyed by sweep name: one batch per
+    decision and variant."""
+    specs = [SweepSpec(decision, varied) for _, decision, varied in STANDARD_SWEEPS]
+    results = run_sweeps(specs, system_for)
+    return {key: result for (key, _, _), result in zip(STANDARD_SWEEPS, results)}
 
 
 def correlation_report(

@@ -16,7 +16,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .analysis import (
     ALL_VARIANTS,
@@ -196,11 +198,13 @@ def _fixed_value(args: argparse.Namespace, config: CliConfig) -> float:
     return _parse_number(args.fixed, "--fixed")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Numbers are written with ``CSV_FORMAT``, strings as they are."""
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Numbers are written with ``CSV_FORMAT``, strings as they are. Every
+    row has the cell types of the first, so one template formats them all."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([v if isinstance(v, str) else CSV_FORMAT % v for v in row]))
+    if rows:
+        template = ",".join("%s" if isinstance(v, str) else CSV_FORMAT for v in rows[0])
+        lines.extend(template % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -237,8 +241,8 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
     return 0
 
 
-def _sweep_rows(result: SweepResult) -> list[list[float]]:
-    return [[x, *(values[v] for v in result.spec.variants)] for x, values in result.rows]
+def _sweep_rows(result: SweepResult) -> list[tuple[float, ...]]:
+    return list(zip(result.spec.grid, *(result.columns[v] for v in result.spec.variants)))
 
 
 def _sweep_header(result: SweepResult) -> list[str]:
@@ -276,8 +280,7 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
         path = outdir / f"surface_{decision.value}_{args.vary_a}_{args.vary_b}_{variant.value}.csv"
         # rows run over vary_a values, columns over vary_b values
         header = [f"{args.vary_a}\\{args.vary_b}", *(CSV_FORMAT % b for b in grid)]
-        rows = [[a, *values[i]] for i, a in enumerate(grid)]
-        _write_csv(path, header, rows)
+        _write_csv(path, header, np.column_stack((grid, values)).tolist())
         print(f"wrote {path}")
     return 0
 

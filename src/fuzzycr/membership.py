@@ -26,6 +26,7 @@ __all__ = [
 # universe for a variable to be considered fully covered.
 COVERAGE_FLOOR = 0.01
 _COVERAGE_SAMPLES = 1001
+_SMALLEST_WIDTH = math.ulp(0.0)
 
 
 def normalize_label(text: str) -> str:
@@ -94,6 +95,8 @@ class Triangular(_Shape):
             raise ValueError(f"triangular needs a <= b <= c, got {self}")
         if self.a == self.c:
             raise ValueError(f"triangular is degenerate to a point: {self}")
+        if not math.isfinite(self.ramp_width):
+            raise ValueError(f"triangular needs finite edge widths b - a and c - b, got {self}")
 
     @property
     def peak(self) -> float:
@@ -108,10 +111,16 @@ class Triangular(_Shape):
     def degrees(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Each edge is 1 from the peak on (x >= b rising, x <= b falling), so
         a foot on the peak is an exact step, and a ramp below 1 elsewhere that
-        turns negative past its foot; the lower edge, floored at 0, is the degree."""
-        rise = np.where(x >= b, 1.0, (x - a) / np.where(b > a, b - a, 1.0))
-        fall = np.where(x <= b, 1.0, (c - x) / np.where(c > b, c - b, 1.0))
-        return np.maximum(np.minimum(rise, fall), 0.0)
+        is 0 past its foot; the lower edge is the degree. Each ramp is taken
+        at x clamped to its edge's interval, so it lies in [0, 1] and cannot
+        overflow however narrow the edge or far the x. A foot on the peak
+        gives a zero width, which the smallest positive float stands in for:
+        any nonzero width is at least that."""
+        rise = np.where(x >= b, 1.0, (np.minimum(np.maximum(x, a), b) - a)
+                        / np.maximum(b - a, _SMALLEST_WIDTH))
+        fall = np.where(x <= b, 1.0, (c - np.minimum(np.maximum(x, b), c))
+                        / np.maximum(c - b, _SMALLEST_WIDTH))
+        return np.minimum(rise, fall)
 
 
 @dataclass(frozen=True)

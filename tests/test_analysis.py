@@ -7,6 +7,7 @@ from fuzzycr.analysis import (
     ALL_VARIANTS,
     CORRELATION_PAIRS,
     MONOTONE_TRENDS,
+    STANDARD_SWEEPS,
     DegenerateSeriesError,
     SweepSpec,
     VariantId,
@@ -14,12 +15,21 @@ from fuzzycr.analysis import (
     correlation_report,
     pearson,
     run_sweep,
+    run_sweeps,
+    standard_sweep_results,
     surface_grid,
     trend_violations,
 )
-from fuzzycr.engine import EngineConfig, EngineKind, FuzzySystem, Rule
+from fuzzycr.engine import (
+    EmptyAggregateError,
+    EngineConfig,
+    EngineKind,
+    FuzzyError,
+    FuzzySystem,
+    Rule,
+)
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
-from fuzzycr.catalog import DecisionId
+from fuzzycr.catalog import DECISION_INPUTS, DecisionId
 from fuzzycr.cli import main
 
 
@@ -171,6 +181,16 @@ class TestRunSweep:
             for variant in spec.variants:
                 assert row1[variant] == row2[variant]
 
+    def test_rows_are_read_from_the_columns(self):
+        spec = SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 60.0))
+        result = run_sweep(spec)
+        assert set(result.columns) == set(spec.variants)
+        assert all(type(v) is float for column in result.columns.values() for v in column)
+        assert result.rows == tuple(
+            (x, {v: result.column(v)[i] for v in spec.variants})
+            for i, x in enumerate(spec.grid)
+        )
+
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="not an input"):
             SweepSpec(DecisionId.HANDOFF_STATUS, "signal_strength")
@@ -178,6 +198,64 @@ class TestRunSweep:
             SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=())
         with pytest.raises(ValueError, match="increasing"):
             SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 10.0))
+
+
+class TestRunSweeps:
+    def test_standard_sweeps_make_one_batch_per_decision_and_variant(self, monkeypatch):
+        batches = []
+        evaluate_batch = FuzzySystem.evaluate_batch
+
+        def counting(self, x):
+            batches.append(len(x))
+            return evaluate_batch(self, x)
+
+        monkeypatch.setattr(FuzzySystem, "evaluate_batch", counting)
+        standard_sweep_results()
+        assert len(batches) == len(DecisionId) * len(VariantId) == 24
+        assert sum(batches) == len(STANDARD_SWEEPS) * len(VariantId) * 10
+
+    def test_mixed_specs_keep_their_order_and_values(self):
+        specs = [
+            SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(0.0, 35.0, 100.0)),
+            SweepSpec(DecisionId.CHANNEL_GAIN, "susceptibility", fixed_value=20.0),
+            SweepSpec(DecisionId.HANDOFF_STATUS, "interference", fixed_value=75.0),
+            SweepSpec(DecisionId.HANDOFF_STATUS, "snr",
+                      variants=(VariantId.LINEAR_SUGENO, VariantId.GAUSSIAN_MAMDANI)),
+        ]
+        results = run_sweeps(specs)
+        assert [result.spec for result in results] == specs
+        for spec, result in zip(specs, results):
+            assert list(result.columns) == list(spec.variants)
+            names = DECISION_INPUTS[spec.decision]
+            for variant in spec.variants:
+                system = build_system(spec.decision, variant)
+                expected = [
+                    system.evaluate({
+                        name: x if name == spec.varied else spec.fixed_value
+                        for name in names
+                    })
+                    for x in spec.grid
+                ]
+                assert np.abs(np.subtract(result.column(variant), expected)).max() <= 1e-12
+
+    def test_failure_names_the_spec_and_point_of_the_failing_row(self, monkeypatch):
+        evaluate_batch = FuzzySystem.evaluate_batch
+
+        def fail_at_70(self, x):
+            if (np.asarray(x) == 70.0).any():
+                raise EmptyAggregateError("empty aggregate")
+            return evaluate_batch(self, x)
+
+        monkeypatch.setattr(FuzzySystem, "evaluate_batch", fail_at_70)
+        specs = [
+            SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 20.0)),
+            SweepSpec(DecisionId.HANDOFF_STATUS, "interference", grid=(30.0, 70.0)),
+        ]
+        with pytest.raises(FuzzyError) as info:
+            run_sweeps(specs)
+        assert str(info.value) == (
+            "handoff-status/gaussian-mamdani failed at interference=70: empty aggregate"
+        )
 
 
 class TestSurface:

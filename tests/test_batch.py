@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzycr.analysis import VariantId, build_system
+from fuzzycr.analysis import STANDARD_SWEEPS, VariantId, build_system
 from fuzzycr.catalog import DECISION_INPUTS, DecisionId, sugeno_levels
 from fuzzycr.engine import (
     BATCH_ROWS,
@@ -118,6 +118,39 @@ def test_batch_equals_scalar_across_chunks(decision, variant):
     x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 5, len(fs.inputs)))
     x[::3] = np.round(x[::3] / 5.0) * 5.0
     assert_parity(fs, x)
+
+
+# A row's output may depend on the batch around it in the last bits: the
+# matrix products in the centroid and weighted-average steps pick their BLAS
+# kernel by shape, and row sums run over a column-ordered gather. Outputs are
+# byte-stable for a given call, and within this bound across batchings.
+BATCH_COMPOSITION = 1e-12
+
+
+@pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_row_reads_the_same_in_any_batch(decision, variant, data):
+    fs = build_system(decision, variant)
+    x = np.array(data.draw(rows_for(decision, max_rows=2 * BATCH_ROWS + 5)))
+    cuts = data.draw(st.lists(st.integers(1, len(x)), max_size=4, unique=True))
+    bounds = [0, *sorted(cuts), len(x)]
+    batched = np.concatenate([fs.evaluate_batch(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    alone = np.array([fs.evaluate(list(row)) for row in x])
+    assert np.abs(batched - alone).max() <= BATCH_COMPOSITION
+
+
+def test_stacked_standard_sweeps_equal_row_by_row_evaluation(all_sweeps):
+    for key, decision, varied in STANDARD_SWEEPS:
+        result = all_sweeps[key]
+        names = DECISION_INPUTS[decision]
+        for variant in result.spec.variants:
+            fs = build_system(decision, variant)
+            alone = [
+                fs.evaluate({n: x if n == varied else result.spec.fixed_value for n in names})
+                for x in result.spec.grid
+            ]
+            assert np.abs(np.subtract(result.column(variant), alone)).max() <= BATCH_COMPOSITION
 
 
 @st.composite

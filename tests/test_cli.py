@@ -1,8 +1,17 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fuzzycr.cli import _SCALAR_KEYS, MAX_GRID_POINTS, CliError, load_config, main
+from fuzzycr.cli import (
+    _SCALAR_KEYS,
+    CSV_FORMAT,
+    MAX_GRID_POINTS,
+    CliError,
+    _write_csv,
+    load_config,
+    main,
+)
 from fuzzycr.engine import EmptyAggregateError, FuzzySystem
 
 
@@ -111,6 +120,21 @@ class TestTables:
         assert (target / "table09.csv").exists()
 
 
+def test_csv_rows_are_formatted_cell_by_cell(tmp_path):
+    rows = [
+        ("snr", np.float64(0.1), 3, -0.0),
+        ("interference", 5e-324, np.float64(1e22), np.float64(-0.0)),
+        ("channel_quality", 100, 0.1, np.float64(2) / 3),
+    ]
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["input_parameter", "a", "b", "c"], rows)
+    expected = "input_parameter,a,b,c\n" + "".join(
+        ",".join([row[0], *(CSV_FORMAT % v for v in row[1:])]) + "\n" for row in rows
+    )
+    assert path.read_bytes() == expected.encode()
+    assert path.read_text().splitlines()[1] == "snr,0.10000000000000001,3,-0"
+
+
 class TestSweepAndSurface:
     @staticmethod
     def fail_batches(monkeypatch):
@@ -145,6 +169,27 @@ class TestSweepAndSurface:
             "empty aggregate\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    def test_tables_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        self.fail_batches(monkeypatch)
+        code, _, err = run_cli("tables", "--out-dir", str(tmp_path), capsys=capsys)
+        assert code == 1
+        assert err == (
+            "error: channel-selection/gaussian-mamdani failed at signal_strength=10: "
+            "empty aggregate\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_correlate_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        self.fail_batches(monkeypatch)
+        out = tmp_path / "table23.csv"
+        code, _, err = run_cli("correlate", "--out", str(out), capsys=capsys)
+        assert code == 1
+        assert err == (
+            "error: channel-selection/gaussian-mamdani failed at signal_strength=10: "
+            "empty aggregate\n"
+        )
+        assert not out.exists()
 
     def test_oversized_grids_fail_fast(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -5,6 +5,10 @@ reproduce (the source configuration is internally inconsistent there) are
 marked informational and skipped by status.
 """
 
+import importlib.util
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
 from fuzzycr.analysis import (
@@ -74,3 +78,16 @@ def test_published_table09_mamdani_columns_correlation(golden_sweeps):
     gaussian = [cells[("gaussian-mamdani", x)] for x in grid]
     triangular = [cells[("triangular-mamdani", x)] for x in grid]
     assert pearson(gaussian, triangular) == pytest.approx(0.987783, abs=0.0005)
+
+
+def test_golden_tool_regenerates_the_shipped_files(tmp_path, monkeypatch, capsys):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "make_golden_data.py"
+    spec = importlib.util.spec_from_file_location("make_golden_data", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "src" / "fuzzycr" / "data").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    module.main()
+    for name in ("golden_sweeps.csv", "golden_correlations.csv"):
+        shipped = resources.files("fuzzycr.data").joinpath(name).read_bytes()
+        assert (tmp_path / "src" / "fuzzycr" / "data" / name).read_bytes() == shipped, name

@@ -45,6 +45,22 @@ class TestShapes:
                 assert mf.degree(float(x)) == pytest.approx(p)
 
     @pytest.mark.parametrize(
+        "mf,x,expected",
+        [
+            (Triangular(0, 1e-310, 100), 50, 0.5),
+            (Triangular(50, 50 + 1e-300, 100), 0, 0.0),
+            (Triangular(-1e308, 0, 1e308), 1e308, 0.0),
+            (Triangular(0, 1, 2), -1.7e308, 0.0),
+            (Triangular(0, 1, 2), 1.7e308, 0.0),
+            (Triangular(0, 1e-300, 2e-300), 0.5e-300, 0.5),
+            (Triangular(0, 1e-300, 2e-300), 1.5e-300, 0.5),
+        ],
+    )
+    def test_narrow_edges_and_far_inputs_do_not_overflow(self, mf, x, expected):
+        # the suite turns overflow warnings into errors
+        assert mf.degree(x) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
         "bad",
         [
             lambda: Triangular(50, 25, 75),
@@ -52,6 +68,8 @@ class TestShapes:
             lambda: Gaussian(50, 0),
             lambda: Gaussian(50, -1),
             lambda: Triangular(0, 50, 25),
+            lambda: Triangular(-1e308, 1e308, 1e308),
+            lambda: Triangular(-1e308, -1e308, 1e308),
             lambda: Gaussian(50, float("nan")),
             lambda: Universe(10, 10),
         ],
