@@ -21,8 +21,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog, sugeno_levels
-from .engine import EngineConfig, FuzzyError, FuzzySystem, Rule, SugenoConsequent
-from .membership import normalize_label
+from .engine import EngineConfig, EngineKind, FuzzyError, FuzzySystem, Rule, SugenoConsequent
+from .membership import parse_named
 from .ruledsl import builtin_rulebase
 
 __all__ = [
@@ -58,12 +58,7 @@ class VariantId(Enum):
 
     @staticmethod
     def parse(text: str) -> "VariantId":
-        key = normalize_label(text)
-        for member in VariantId:
-            if normalize_label(member.value) == key:
-                return member
-        valid = ", ".join(m.value for m in VariantId)
-        raise ValueError(f"unknown variant {text!r}; valid: {valid}")
+        return parse_named(VariantId, text, "variant")
 
 
 ALL_VARIANTS = tuple(VariantId)
@@ -95,22 +90,29 @@ def build_system(
     Labels it leaves out keep the catalog level and zero slopes, so by
     default the affine and constant variants coincide.
 
+    ``resolution`` is the Mamdani output's sample count. Every variant checks
+    it, but Sugeno systems sample nothing, so they ignore it.
+
     Systems are memoized for the life of the process, up to
     ``BUILD_CACHE_SIZE`` of them: equal arguments return the same shared
     system, whatever the order of the mapping's keys or the sequence type of
-    its values. Callers must not mutate it.
+    its values, and whatever the resolution of a Sugeno variant. Callers must
+    not mutate it.
     """
     consequents = tuple(sorted(
         (label, tuple(values)) for label, values in (sugeno_consequents or {}).items()
     ))
-    return _build_system(decision, variant, resolution, consequents)
+    config = EngineConfig.mamdani(resolution)
+    if variant in (VariantId.CONSTANT_SUGENO, VariantId.LINEAR_SUGENO):
+        config = EngineConfig.sugeno()
+    return _build_system(decision, variant, config, consequents)
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _build_system(
     decision: DecisionId,
     variant: VariantId,
-    resolution: int,
+    config: EngineConfig,
     sugeno_consequents: tuple[tuple[str, tuple[float, ...]], ...],
 ) -> FuzzySystem:
     family = "triangular" if variant is VariantId.TRIANGULAR_MAMDANI else "gaussian"
@@ -122,10 +124,7 @@ def _build_system(
     if variant is VariantId.LINEAR_SUGENO:
         consequents.update(given)
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
-    if variant in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI):
-        config = EngineConfig.mamdani(resolution)
-    else:
-        config = EngineConfig.sugeno(resolution)
+    if config.kind is EngineKind.SUGENO:
         affine = {
             label: SugenoConsequent(constant, tuple(zip(input_names, slopes)))
             for label, (constant, *slopes) in consequents.items()
@@ -198,15 +197,6 @@ class SweepResult:
 
     def column(self, variant: VariantId) -> tuple[float, ...]:
         return self.columns[variant]
-
-    @property
-    def rows(self) -> tuple[tuple[float, dict[VariantId, float]], ...]:
-        """``(grid value, {variant: output})`` per grid point, read from the
-        columns."""
-        return tuple(
-            (x, {v: self.columns[v][i] for v in self.spec.variants})
-            for i, x in enumerate(self.spec.grid)
-        )
 
 
 SystemFactory = Callable[[DecisionId, VariantId], FuzzySystem]

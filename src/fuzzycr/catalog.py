@@ -19,7 +19,7 @@ from .membership import (
     LinguisticVariable,
     Triangular,
     Universe,
-    normalize_label,
+    parse_named,
 )
 
 __all__ = [
@@ -46,12 +46,7 @@ class DecisionId(Enum):
 
     @staticmethod
     def parse(text: str) -> "DecisionId":
-        key = normalize_label(text)
-        for member in DecisionId:
-            if normalize_label(member.value) == key:
-                return member
-        valid = ", ".join(m.value for m in DecisionId)
-        raise ValueError(f"unknown decision {text!r}; valid: {valid}")
+        return parse_named(DecisionId, text, "decision")
 
 
 UNIVERSE = Universe(0.0, 100.0)

@@ -70,10 +70,11 @@ class EngineKind(Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine kind and the sample count of the output universe. The kind
-    fixes the rest: Mamdani conjoins, clips and aggregates by min/min/max and
-    takes the centroid (Mamdani & Assilian); Sugeno conjoins by product and
-    takes the weighted average (Takagi & Sugeno)."""
+    """Engine kind and the sample count of the output universe, which only
+    Mamdani systems read. The kind fixes the rest: Mamdani conjoins, clips
+    and aggregates by min/min/max and takes the centroid (Mamdani &
+    Assilian); Sugeno conjoins by product and takes the weighted average
+    (Takagi & Sugeno)."""
 
     kind: EngineKind
     resolution: int = 1001
@@ -89,8 +90,8 @@ class EngineConfig:
         return EngineConfig(EngineKind.MAMDANI, resolution)
 
     @staticmethod
-    def sugeno(resolution: int = 1001) -> "EngineConfig":
-        return EngineConfig(EngineKind.SUGENO, resolution)
+    def sugeno() -> "EngineConfig":
+        return EngineConfig(EngineKind.SUGENO)
 
 
 @dataclass(frozen=True)
@@ -246,17 +247,18 @@ class _CentroidTables:
     minimums identity writes it as sum over label subsets S of
     (-1)^(|S|+1) min(c_S, Q_S(x_k)), with c_S and Q_S the minimum level and
     minimum profile over S; a subset whose Q_S is zero everywhere drops out.
-    So sum_k min(c_S, Q_S(x_k)) and its x-weighted sum, piecewise linear in
-    the one threshold c_S, give the centroid's mass and moment exactly.
+    With w_k the trapezoid weight, 1/2 at the first and last sample and 1
+    elsewhere, sum_k w_k min(c_S, Q_S(x_k)) and its x-weighted sum, piecewise
+    linear in the one threshold c_S, give the centroid's mass and moment
+    exactly.
 
     Subsets with equal Q_S share one table: its nonzero Q_S values sorted,
-    with prefix sums of q and x q and suffix sums of x. Table k sits in the
-    flat arrays as complex keys k + q i, which numpy orders by real part and
-    then by imaginary part, and ends in a sentinel key k + 2i. So one
-    ``np.searchsorted`` of k + c_S i finds, for every subset of every row,
-    the index j that splits its table at c_S, comparing c_S with each q
-    exactly. The trapezoid halves of the two end samples are subtracted
-    afterwards.
+    with prefix sums of w q and w x q and suffix sums of w and w x. Table k
+    sits in the flat arrays as complex keys k + q i, which numpy orders by
+    real part and then by imaginary part, and ends in a sentinel key k + 2i.
+    So one ``np.searchsorted`` of k + c_S i finds, for every subset of every
+    row, the index j that splits its table at c_S, comparing c_S with each q
+    exactly.
     """
 
     def __init__(
@@ -273,19 +275,24 @@ class _CentroidTables:
         del table_of  # free its copies before allocating the tables
         # table k fills [starts[k], starts[k + 1]): its nonzero q, then the sentinel
         starts = np.cumsum([0] + [np.count_nonzero(q) + 1 for q in distinct])
+        w = np.ones(resolution)
+        w[[0, -1]] = 0.5
+        wx = w * xs
         self.keys = np.empty(starts[-1], dtype=complex)
-        self.below_q = np.zeros(starts[-1])  # sum of q before each key, in its table
-        self.below_xq = np.zeros(starts[-1])  # sum of x q before each key, in its table
-        self.above_x = np.zeros(starts[-1])  # sum of x from each key on, in its table
+        self.below_wq = np.zeros(starts[-1])  # sum of w q before each key, in its table
+        self.below_wxq = np.zeros(starts[-1])  # sum of w x q before each key, in its table
+        self.above_w = np.zeros(starts[-1])  # sum of w from each key on, in its table
+        self.above_wx = np.zeros(starts[-1])  # sum of w x from each key on, in its table
         for k, q in enumerate(distinct):
             order = np.flatnonzero(q)
             order = order[np.argsort(q[order], kind="stable")]
-            qs, x = q[order], xs[order]
+            qs = q[order]
             first, sentinel = starts[k], starts[k + 1] - 1
             self.keys[first:sentinel + 1] = k + 1j * np.append(qs, 2.0)
-            self.below_q[first + 1:sentinel + 1] = np.cumsum(qs)
-            self.below_xq[first + 1:sentinel + 1] = np.cumsum(x * qs)
-            self.above_x[first:sentinel] = np.cumsum(x[::-1])[::-1]
+            self.below_wq[first + 1:sentinel + 1] = np.cumsum(w[order] * qs)
+            self.below_wxq[first + 1:sentinel + 1] = np.cumsum(wx[order] * qs)
+            self.above_w[first:sentinel] = np.cumsum(w[order][::-1])[::-1]
+            self.above_wx[first:sentinel] = np.cumsum(wx[order][::-1])[::-1]
         # one column per subset; there are none when every label is zero on
         # the universe, which leaves every aggregate empty
         width = max((len(members) for members, _ in subsets), default=1)
@@ -295,14 +302,6 @@ class _CentroidTables:
         ).reshape(-1, width).T
         self.signs = np.array([1.0 if len(members) % 2 else -1.0 for members, _ in subsets])
         self.table = np.array(table, dtype=float)  # the subset's table index k
-        self.ends = starts[1:][table] - 1  # the flat index of its table's sentinel
-        # 2 x S: Q_S at the first and last sample
-        self.q_ends = np.array([[q[0] for _, q in subsets], [q[-1] for _, q in subsets]])
-        # 2S x 2: the share of Q_S at the first and last sample in the signed
-        # mass and moment, which the trapezoid rule halves
-        self.end_weights = 0.5 * np.column_stack(
-            (np.tile(self.signs, 2), np.outer(xs[[0, -1]], self.signs).ravel())
-        )
         _freeze(vars(self).values())
 
 
@@ -417,13 +416,13 @@ class _CompiledSystem:
         """Clip each used label at its level (N x labels used, in output
         order), max-aggregate, and take the end-weighted centroid of each
         row, as ``defuzz_centroid`` does on the sampled curve, by lookups in
-        ``tables``: for each subset S, sum_k min(c_S, Q_S(x_k)) is the sum of
-        the table's q below c_S plus c_S once for each q from c_S on."""
+        ``tables``: for each subset S, sum_k w_k min(c_S, Q_S(x_k)) is the
+        sum of the table's w q below c_S plus c_S times the sum of w from
+        c_S on."""
         t = self.tables
         c = np.minimum.reduce(levels[:, t.members], axis=1)
         j = np.searchsorted(t.keys, t.table + 1j * c)
-        below_q, below_xq = t.below_q[j], t.below_xq[j]
-        ends = np.minimum(c[:, None], t.q_ends).reshape(len(c), -1)
+        below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
         peaks = levels.max(axis=1, initial=0.0)
         if peaks.min() < SMALL_LEVEL:
             # Scale each row by the power of two that takes its highest level
@@ -432,16 +431,13 @@ class _CompiledSystem:
             # units. The q below c_S sum to at most resolution x c_S, so
             # nothing overflows.
             scale = _upscale(peaks)[:, None]
-            c, ends = c * scale, ends * scale
-            below_q, below_xq = below_q * scale, below_xq * scale
-        mass = below_q + c * (t.ends - j)
-        moment = below_xq + c * t.above_x[j]
-        # the trapezoid halves of the first and last samples
-        halves = ends @ t.end_weights
-        totals = mass @ t.signs - halves[:, 0]
+            c, below_wq, below_wxq = c * scale, below_wq * scale, below_wxq * scale
+        mass = below_wq + c * t.above_w[j]
+        moment = below_wxq + c * t.above_wx[j]
+        totals = mass @ t.signs
         if not (totals > 0.0).all():
             raise EmptyAggregateError("empty aggregate")
-        return (moment @ t.signs - halves[:, 1]) / totals
+        return moment @ t.signs / totals
 
     def weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
         """Strength-weighted average of the affine consequents, clamped to the

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Union
+from enum import Enum
+from typing import TypeVar, Union
 
 import numpy as np
 
@@ -20,6 +21,7 @@ __all__ = [
     "LinguisticTerm",
     "LinguisticVariable",
     "normalize_label",
+    "parse_named",
 ]
 
 # Minimum membership degree the best-matching term must reach anywhere on the
@@ -35,6 +37,20 @@ def normalize_label(text: str) -> str:
     Case-insensitive; spaces, hyphens, and underscores are interchangeable.
     """
     return text.replace(" ", "").replace("_", "").replace("-", "").lower()
+
+
+NamedEnum = TypeVar("NamedEnum", bound=Enum)
+
+
+def parse_named(enum: type[NamedEnum], text: str, kind: str) -> NamedEnum:
+    """The member of ``enum`` whose string value matches ``text`` as
+    ``normalize_label`` does; ``kind`` names the enum in the error."""
+    key = normalize_label(text)
+    for member in enum:
+        if normalize_label(member.value) == key:
+            return member
+    valid = ", ".join(m.value for m in enum)
+    raise ValueError(f"unknown {kind} {text!r}; valid: {valid}")
 
 
 def _require_finite(value) -> None:

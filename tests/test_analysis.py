@@ -93,10 +93,19 @@ class TestBuildSystemMemo:
 
     def test_different_arguments_return_different_systems(self):
         plain = build_system(*self.HANDOFF)
-        assert build_system(*self.HANDOFF, resolution=2001) is not plain
+        # a Sugeno system samples nothing, so its resolution is not a key
+        assert build_system(*self.HANDOFF, resolution=2001) is plain
+        mamdani = (DecisionId.HANDOFF_STATUS, VariantId.GAUSSIAN_MAMDANI)
+        assert build_system(*mamdani, resolution=2001) is not build_system(*mamdani)
         tilted = build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.1)})
         assert tilted is not plain
         assert tilted is not build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.2)})
+
+    @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
+    @pytest.mark.parametrize("resolution", [99, 1000])
+    def test_every_variant_checks_the_resolution(self, variant, resolution):
+        with pytest.raises(ValueError, match=f"odd and >= 101, got {resolution}"):
+            build_system(DecisionId.HANDOFF_STATUS, variant, resolution=resolution)
 
     def test_an_unknown_label_raises_on_every_call(self):
         for _ in range(3):
@@ -148,20 +157,19 @@ class TestRunSweep:
     def test_channel_selection_midpoint_row(self):
         spec = SweepSpec(DecisionId.CHANNEL_SELECTION, "signal_strength")
         result = run_sweep(spec)
-        row = dict(result.rows)[50.0]
-        assert row[VariantId.TRIANGULAR_MAMDANI] == pytest.approx(50.0, abs=0.5)
+        column = result.column(VariantId.TRIANGULAR_MAMDANI)
+        assert column[spec.grid.index(50.0)] == pytest.approx(50.0, abs=0.5)
 
     def test_handoff_constant_sugeno_saturates_low(self):
         spec = SweepSpec(DecisionId.HANDOFF_STATUS, "interference")
         result = run_sweep(spec)
-        row = dict(result.rows)[100.0]
-        assert row[VariantId.CONSTANT_SUGENO] <= 0.1
+        assert result.column(VariantId.CONSTANT_SUGENO)[spec.grid.index(100.0)] <= 0.1
 
     def test_channel_gain_low_quality_band(self):
         spec = SweepSpec(DecisionId.CHANNEL_GAIN, "channel_quality")
         result = run_sweep(spec)
-        row = dict(result.rows)[10.0]
-        assert 8.33 <= row[VariantId.TRIANGULAR_MAMDANI] <= 10.5
+        column = result.column(VariantId.TRIANGULAR_MAMDANI)
+        assert 8.33 <= column[spec.grid.index(10.0)] <= 10.5
 
     def test_outputs_stay_inside_the_universe(self):
         rng = np.random.default_rng(17)
@@ -176,20 +184,14 @@ class TestRunSweep:
         spec = SweepSpec(DecisionId.BANDWIDTH_ALLOCATION, "access_latency")
         first = run_sweep(spec)
         second = run_sweep(spec)
-        for (x1, row1), (x2, row2) in zip(first.rows, second.rows):
-            assert x1 == x2
-            for variant in spec.variants:
-                assert row1[variant] == row2[variant]
+        assert first.columns == second.columns
 
     def test_rows_are_read_from_the_columns(self):
         spec = SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 60.0))
         result = run_sweep(spec)
         assert set(result.columns) == set(spec.variants)
         assert all(type(v) is float for column in result.columns.values() for v in column)
-        assert result.rows == tuple(
-            (x, {v: result.column(v)[i] for v in spec.variants})
-            for i, x in enumerate(spec.grid)
-        )
+        assert all(len(result.column(v)) == len(spec.grid) for v in spec.variants)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="not an input"):

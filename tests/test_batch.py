@@ -41,7 +41,7 @@ from fuzzycr.membership import (
 )
 
 PAIRS = [(d, v) for d in DecisionId for v in VariantId]
-PARITY = 1e-9
+PARITY = 1e-12
 
 # Inputs beyond the universe on both sides, the infinities, and lattice points
 # where terms peak and cross.

@@ -42,8 +42,8 @@ def test_asserted_sweep_cells_match(golden_sweeps, all_sweeps):
         if row["status"] != "assert":
             continue
         result = all_sweeps[row["sweep"]]
-        ours = dict(result.rows)[float(row["input_value"])][
-            VariantId.parse(row["variant"])
+        ours = result.column(VariantId.parse(row["variant"]))[
+            result.spec.grid.index(float(row["input_value"]))
         ]
         published = float(row["published_value"])
         tolerance = float(row["tolerance"])
