@@ -8,10 +8,8 @@ deterministic, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -202,32 +200,47 @@ class SweepResult:
 SystemFactory = Callable[[DecisionId, VariantId], FuzzySystem]
 
 
-def _evaluate_variants(
+def _evaluate_grids(
     decision: DecisionId,
+    grids: Sequence[tuple[Mapping[str, Sequence[float]], float]],
     variants: Sequence[VariantId],
     system_for: SystemFactory,
-    x: np.ndarray,
-    point: Callable[[int], str],
-) -> dict[VariantId, np.ndarray]:
-    """Each variant's outputs over the rows of ``x`` (columns in decision
-    input order). A failure names the variant and, through ``point``, the
-    first row that fails."""
+) -> list[dict[VariantId, np.ndarray]]:
+    """Each variant's outputs over each ``(axes, fixed)`` grid, shaped by its
+    axes: the C-order Cartesian product of the values ``axes`` maps inputs
+    to, with every other input at ``fixed``. All grids are stacked, so each
+    variant's system is evaluated in one batch. A failure names the variant
+    and the first failing point by the axes of its grid."""
     names = DECISION_INPUTS[decision]
-    out = {}
+    shapes = [tuple(len(values) for values in axes.values()) for axes, _ in grids]
+    blocks, bounds = [], [0]
+    for (axes, fixed), shape in zip(grids, shapes):
+        block = np.full((math.prod(shape), len(names)), fixed)
+        indices = np.unravel_index(np.arange(len(block)), shape)
+        for (name, values), index in zip(axes.items(), indices):
+            block[:, names.index(name)] = np.asarray(values)[index]
+        blocks.append(block)
+        bounds.append(bounds[-1] + len(block))
+    x = np.vstack(blocks)
+    out: list[dict[VariantId, np.ndarray]] = [{} for _ in grids]
     for variant in variants:
         system = system_for(decision, variant)
-        rows = x[:, [names.index(name) for name in system.input_names]]
+        order = [names.index(name) for name in system.input_names]
         try:
-            out[variant] = system.evaluate_batch(rows)
+            outputs = system.evaluate_batch(x[:, order])
         except Exception:
-            for i in range(len(rows)):
-                try:
-                    system.evaluate_batch(rows[i:i + 1])
-                except Exception as exc:
-                    raise FuzzyError(
-                        f"{decision.value}/{variant.value} failed at {point(i)}: {exc}"
-                    ) from exc
+            for (axes, _), block in zip(grids, blocks):
+                for row in block:
+                    try:
+                        system.evaluate_batch(row[None, order])
+                    except Exception as exc:
+                        point = ", ".join(f"{name}={row[names.index(name)]:g}" for name in axes)
+                        raise FuzzyError(
+                            f"{decision.value}/{variant.value} failed at {point}: {exc}"
+                        ) from exc
             raise
+        for result, start, stop, shape in zip(out, bounds, bounds[1:], shapes):
+            result[variant] = outputs[start:stop].reshape(shape)
     return out
 
 
@@ -246,26 +259,9 @@ def run_sweeps(
         groups.setdefault((spec.decision, spec.variants), []).append(i)
     results: list[SweepResult | None] = [None] * len(specs)
     for (decision, variants), members in groups.items():
-        names = DECISION_INPUTS[decision]
-        blocks = []
-        for i in members:
-            spec = specs[i]
-            block = np.full((len(spec.grid), len(names)), spec.fixed_value)
-            block[:, names.index(spec.varied)] = spec.grid
-            blocks.append(block)
-        starts = list(itertools.accumulate((len(block) for block in blocks), initial=0))
-
-        def point(row: int) -> str:
-            k = bisect.bisect_right(starts, row) - 1
-            spec = specs[members[k]]
-            return f"{spec.varied}={spec.grid[row - starts[k]]:g}"
-
-        outputs = _evaluate_variants(decision, variants, system_for, np.vstack(blocks), point)
-        lists = {v: outputs[v].tolist() for v in variants}
-        for k, i in enumerate(members):
-            start, stop = starts[k], starts[k + 1]
-            columns = {v: tuple(lists[v][start:stop]) for v in variants}
-            results[i] = SweepResult(specs[i], columns)
+        grids = [({specs[i].varied: specs[i].grid}, specs[i].fixed_value) for i in members]
+        for i, outputs in zip(members, _evaluate_grids(decision, grids, variants, system_for)):
+            results[i] = SweepResult(specs[i], {v: tuple(outputs[v].tolist()) for v in variants})
     return results
 
 
@@ -295,15 +291,8 @@ def surface_grid(
     for name in (input_a, input_b):
         if name not in names:
             raise ValueError(f"{name!r} is not an input of {decision.value}")
-    n = len(grid)
-    x = np.full((n * n, len(names)), fixed_value)
-    x[:, names.index(input_a)] = np.repeat(grid, n)
-    x[:, names.index(input_b)] = np.tile(grid, n)
-    values = _evaluate_variants(
-        decision, variants, system_for, x,
-        lambda i: f"{input_a}={grid[i // n]:g}, {input_b}={grid[i % n]:g}",
-    )
-    return {v: values[v].reshape(n, n) for v in variants}
+    grids = [({input_a: grid, input_b: grid}, fixed_value)]
+    return _evaluate_grids(decision, grids, variants, system_for)[0]
 
 
 def _centered(values: list[float]) -> list[float]:

@@ -117,30 +117,27 @@ def load_config(path: Path) -> CliConfig:
     Top-level ``key = value`` pairs (the keys of ``_SCALAR_KEYS``) and
     ``[sugeno.<decision>]`` sections mapping consequent labels to
     ``constant, slope...`` (slopes follow the decision's input order), checked
-    by ``check_sugeno_consequents``. Unknown keys and sections are rejected.
-    Every error carries ``path:line:``.
+    by ``check_sugeno_consequents``. Unknown keys, sections and decisions are
+    rejected. Every error carries ``path:line:``.
     """
     config = CliConfig()
-    section: str | None = None
+    decision: DecisionId | None = None
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if not section.startswith("sugeno."):
-                raise CliError(f"{path}:{line_no}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, equals, value = (part.strip() for part in line.partition("="))
         try:
-            if section is None:
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+                if not section.startswith("sugeno."):
+                    raise CliError(f"unknown section [{section}]")
+                decision = DecisionId.parse(section.removeprefix("sugeno."))
+            elif not equals:
+                raise CliError("expected key = value")
+            elif decision is None:
                 _apply_scalar(config, key.lower(), value)
             else:
-                decision = DecisionId.parse(section.split(".", 1)[1])
                 numbers = tuple(float(p) for p in value.split(","))
                 given = config.sugeno_coefficients.get(decision, {})
                 config.sugeno_coefficients[decision] = check_sugeno_consequents(
@@ -222,22 +219,24 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
         config.variant or VariantId.TRIANGULAR_MAMDANI
     )
     system = _system_for(config, decision, variant)
-    assignments = {name: config.fixed_value for name in DECISION_INPUTS[decision]}
+    names = DECISION_INPUTS[decision]
+    given: dict[str, float] = {}
     for item in args.inputs or ():
         if "=" not in item:
             raise CliError(f"--in expects name=value, got {item!r}")
         name, _, value = item.partition("=")
         name = name.strip()
-        if name not in assignments:
+        if name not in names:
             raise CliError(
-                f"{name!r} is not an input of {decision.value}; "
-                f"inputs: {', '.join(DECISION_INPUTS[decision])}"
+                f"{name!r} is not an input of {decision.value}; inputs: {', '.join(names)}"
             )
+        if name in given:
+            raise CliError(f"--in {name} is given twice")
         try:
-            assignments[name] = float(value)
+            given[name] = float(value)
         except ValueError:
             raise CliError(f"--in {name}: {value!r} is not a number") from None
-    print(f"{system.evaluate(assignments):.4g}")
+    print(f"{system.evaluate({name: config.fixed_value for name in names} | given):.4g}")
     return 0
 
 
@@ -384,16 +383,24 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
         return 0
     antecedent_names = rulebase.variable_order[:-1]
     labels = [catalog.inputs[name].labels for name in antecedent_names]
-    seen = {
-        tuple(rule.antecedent_map()[name] for name in antecedent_names)
-        for rule in rulebase.rules
-    }
-    missing = [combo for combo in itertools.product(*labels) if combo not in seen]
-    if missing:
-        print(f"{path}: {count} rules, {len(missing)} missing combinations:")
-        for combo in missing:
-            clauses = ", ".join(f"{n}={l}" for n, l in zip(antecedent_names, combo))
-            print(f"  {clauses}")
+    missing, conflicts = [], []
+    for combo in itertools.product(*labels):
+        # a rule that leaves an input out matches every label of it
+        point = dict(zip(antecedent_names, combo))
+        consequents = dict.fromkeys(
+            rule.consequent for rule in rulebase.rules
+            if all(point[name] == label for name, label in rule.antecedents)
+        )
+        clauses = ", ".join(f"{n}={l}" for n, l in point.items())
+        if not consequents:
+            missing.append(clauses)
+        elif len(consequents) > 1:
+            conflicts.append(f"{clauses}: {', '.join(consequents)}")
+    for kind, problems in (("missing", missing), ("conflicting", conflicts)):
+        if problems:
+            print(f"{path}: {count} rules, {len(problems)} {kind} combinations:")
+            print("\n".join(f"  {problem}" for problem in problems))
+    if missing or conflicts:
         return 1
     print(f"{path}: {count} rules, complete, no conflicts")
     return 0

@@ -13,11 +13,13 @@ degrees with the same per-shape formulas, ``Triangular.degrees`` and
 closed forms written out in plain Python.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fuzzycr.analysis import STANDARD_SWEEPS, VariantId, build_system
+from fuzzycr.analysis import STANDARD_SWEEPS, VariantId, build_system, surface_grid
 from fuzzycr.catalog import DECISION_INPUTS, DecisionId, sugeno_levels
 from fuzzycr.engine import (
     BATCH_ROWS,
@@ -151,6 +153,24 @@ def test_stacked_standard_sweeps_equal_row_by_row_evaluation(all_sweeps):
                 for x in result.spec.grid
             ]
             assert np.abs(np.subtract(result.column(variant), alone)).max() <= BATCH_COMPOSITION
+
+
+@pytest.mark.parametrize(
+    "input_a,input_b", itertools.combinations(DECISION_INPUTS[DecisionId.CHANNEL_SELECTION], 2)
+)
+def test_surfaces_equal_row_by_row_evaluation(input_a, input_b):
+    decision = DecisionId.CHANNEL_SELECTION
+    grid = tuple(float(x) for x in range(0, 101, 10))
+    surfaces = surface_grid(decision, input_a, input_b, fixed_value=30.0, grid=grid)
+    for variant, values in surfaces.items():
+        fs = build_system(decision, variant)
+        alone = [
+            [fs.evaluate({n: 30.0 for n in DECISION_INPUTS[decision]} | {input_a: a, input_b: b})
+             for b in grid]
+            for a in grid
+        ]
+        assert values.shape == (len(grid), len(grid))
+        assert np.abs(values - alone).max() <= BATCH_COMPOSITION
 
 
 @st.composite

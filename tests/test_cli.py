@@ -306,6 +306,9 @@ class TestPlot:
 BAD_INPUTS = {
     "eval": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=nan"],
              "input 'snr' is NaN"),
+    "eval-repeated-input": (
+        lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=10", "--in", "snr=90"],
+        "--in snr is given twice"),
     "eval-not-a-number": (
         lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=abc"],
         "--in snr: 'abc' is not a number"),
@@ -431,6 +434,31 @@ class TestCheckRules:
         assert code == 1
         assert "line 1: unknown output variable 'mood'" in out
 
+    def test_a_rule_that_leaves_an_input_out_covers_all_its_labels(self, tmp_path, capsys):
+        rules = tmp_path / "partial.rules"
+        rules.write_text(
+            "IF snr IS Low THEN handoff_status IS On\n"
+            "IF snr IS High AND interference IS Low THEN handoff_status IS Off\n"
+        )
+        code, out, _ = run_cli("check-rules", str(rules), capsys=capsys)
+        assert code == 1
+        # snr=Low covers all five interference labels, snr=High only Low
+        assert "2 rules, 19 missing combinations:" in out
+        assert "snr=Low" not in out and "snr=High, interference=Low" not in out
+        assert "conflicting" not in out
+        rules.write_text(
+            "IF snr IS Low THEN handoff_status IS On\n"
+            "IF snr IS Low AND interference IS Low THEN handoff_status IS Off\n"
+        )
+        code, out, _ = run_cli("check-rules", str(rules), capsys=capsys)
+        assert code == 1
+        assert "2 rules, 1 conflicting combinations:\n  snr=Low, interference=Low: On, Off\n" in out
+        labels = ("VeryLow", "Low", "Moderate", "High", "VeryHigh")
+        rules.write_text("".join(f"IF snr IS {l} THEN handoff_status IS On\n" for l in labels))
+        code, out, _ = run_cli("check-rules", str(rules), capsys=capsys)
+        assert code == 0
+        assert "5 rules, complete, no conflicts" in out
+
     def test_empty_file_reports_zero_rules(self, tmp_path, capsys):
         empty = tmp_path / "empty.rules"
         empty.write_text("# nothing here\n")
@@ -478,6 +506,14 @@ class TestConfigFile:
         path.write_text("[calibration]\nsnr = -5, 35\n")
         with pytest.raises(CliError, match="unknown section"):
             load_config(path)
+
+    @pytest.mark.parametrize("lines", [[], ["On = 20"]])
+    def test_unknown_decision_rejected_at_its_section_line(self, tmp_path, lines):
+        path = tmp_path / "bad.conf"
+        path.write_text("\n".join(["resolution = 1001", "[sugeno.nonsense]", *lines]))
+        with pytest.raises(CliError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:2: unknown decision 'nonsense'; valid: ")
 
     @pytest.mark.parametrize("line,message", [
         ("resolution = 1000", "resolution must be odd and >= 101, got 1000"),
