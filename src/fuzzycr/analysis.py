@@ -161,6 +161,16 @@ def check_sugeno_consequents(
     return checked
 
 
+def _check_grid(grid: Sequence[float], variants: Sequence[VariantId]) -> None:
+    """Reject an empty or not strictly increasing grid, or no variants."""
+    if not grid:
+        raise ValueError("sweep grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sweep grid must be strictly increasing")
+    if not variants:
+        raise ValueError("sweep needs at least one variant")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One-dimensional sweep: vary one input, pin the rest."""
@@ -177,12 +187,7 @@ class SweepSpec:
                 f"{self.varied!r} is not an input of {self.decision.value}; "
                 f"inputs: {DECISION_INPUTS[self.decision]}"
             )
-        if not self.grid:
-            raise ValueError("sweep grid must be nonempty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
-        if not self.variants:
-            raise ValueError("sweep needs at least one variant")
+        _check_grid(self.grid, self.variants)
 
 
 @dataclass(frozen=True)
@@ -291,6 +296,7 @@ def surface_grid(
     for name in (input_a, input_b):
         if name not in names:
             raise ValueError(f"{name!r} is not an input of {decision.value}")
+    _check_grid(grid, variants)
     grids = [({input_a: grid, input_b: grid}, fixed_value)]
     return _evaluate_grids(decision, grids, variants, system_for)[0]
 

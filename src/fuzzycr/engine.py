@@ -1,10 +1,10 @@
 """Mamdani and Sugeno inference engines.
 
-A :class:`FuzzySystem` compiles itself at construction into read-only index
-arrays. :meth:`FuzzySystem.evaluate_batch` checks and clamps N rows and runs
-that compiled kernel on them; :meth:`FuzzySystem.evaluate` is the same call on
-one row. Both are pure and reentrant, so systems can be evaluated from many
-threads at once.
+A :class:`FuzzySystem` checks and compiles its rules in one pass at
+construction, into read-only index arrays. :meth:`FuzzySystem.evaluate_batch`
+checks and clamps N rows and runs its private kernel on them;
+:meth:`FuzzySystem.evaluate` is the same call on one row. Both are pure and
+reentrant, so systems can be evaluated from many threads at once.
 
 ``firing_strength``, ``aggregate_clipped`` and ``defuzz_centroid`` compute the
 same inference rule by rule. No system calls them; they are the independent
@@ -133,9 +133,6 @@ class Rule:
     @staticmethod
     def of(antecedents: Mapping[str, str], consequent: Consequent) -> "Rule":
         return Rule(tuple(antecedents.items()), consequent)
-
-    def antecedent_map(self) -> dict[str, str]:
-        return dict(self.antecedents)
 
 
 def firing_strength(
@@ -314,148 +311,25 @@ def _centroid_tables(
     return _CentroidTables(mfs, universe, resolution)
 
 
-class _CompiledSystem:
-    """A system as read-only index arrays, evaluated one chunk of rows at a
-    time.
+class FuzzySystem:
+    """Inputs, output, rules and engine configuration, compiled at
+    construction into read-only arrays.
+
+    For Mamdani systems ``output`` must be a full linguistic variable; Sugeno
+    systems only need its name and universe, but accept the same variable for
+    convenience. ``rules`` keeps the caller's order and the variables' own
+    spelling of each label (``LinguisticVariable.term``, ``KeyError`` if none).
 
     Terms of all inputs form one flat table of T terms, grouped by shape
     class: each group holds its class's ``degrees`` formula, the degree
     columns and input columns of its terms, and one parameter row per field
-    of the shape. Degrees are computed into an N x (T + 1) matrix whose last
-    column is the constant 1, so the R x k antecedent matrix pads short rules
-    with index T. Mamdani rules are sorted
-    by consequent label, so one ``np.maximum.reduceat`` turns rule strengths
-    into one clip level per label used, and the output's shared
-    :class:`_CentroidTables` turn those into centroids; Sugeno rules keep
-    their order, with constants and an R x n slope matrix.
-    """
-
-    def __init__(self, system: "FuzzySystem") -> None:
-        groups: dict[type, tuple[list, list, list]] = {}
-        term_index = {}
-        for column, var in enumerate(system.inputs):
-            for term in var.terms:
-                terms, inputs, params = groups.setdefault(type(term.mf), ([], [], []))
-                terms.append(len(term_index))
-                inputs.append(column)
-                params.append(term.mf.params)
-                term_index[var.name, term.label] = terms[-1]
-        self.lo = np.array([v.universe.lo for v in system.inputs])
-        self.hi = np.array([v.universe.hi for v in system.inputs])
-        self.n_terms = len(term_index)
-        self.shapes = tuple(
-            (shape.degrees, np.array(terms, dtype=np.intp), np.array(inputs, dtype=np.intp),
-             tuple(np.array(row, dtype=float) for row in zip(*params)))
-            for shape, (terms, inputs, params) in groups.items()
-        )
-
-        self.mamdani = system.config.kind is EngineKind.MAMDANI
-        rules = list(system.rules)
-        if self.mamdani:
-            label_index = {label: i for i, label in enumerate(system.output.labels)}
-            labels = [label_index[rule.consequent] for rule in rules]
-            order = np.argsort(labels, kind="stable")
-            rules = [rules[r] for r in order]
-            labels = np.array(labels)[order]
-            self.label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
-            terms = system.output.terms
-            try:
-                self.tables = _centroid_tables(
-                    tuple(terms[label].mf for label in labels[self.label_starts]),
-                    system.output.universe, system.config.resolution,
-                )
-            except ValueError as error:
-                raise ValueError(f"output {system.output.name!r} {error}") from None
-        else:
-            self.output_range = (system.output.universe.lo, system.output.universe.hi)
-            names = system.input_names
-            self.constants = np.array([rule.consequent.constant for rule in rules])
-            self.slopes = np.zeros((len(rules), len(names)))
-            for r, rule in enumerate(rules):
-                for name, coeff in rule.consequent.coefficients:
-                    self.slopes[r, names.index(name)] += coeff
-        width = max(len(rule.antecedents) for rule in rules)
-        self.antecedents = np.full((len(rules), width), self.n_terms, dtype=np.intp)
-        for r, rule in enumerate(rules):
-            for j, antecedent in enumerate(rule.antecedents):
-                self.antecedents[r, j] = term_index[antecedent]
-        # a system may be shared (``build_system`` memoizes), so none of its
-        # arrays may change
-        _freeze(vars(self).values())
-
-    def fuzzify(self, x: np.ndarray) -> np.ndarray:
-        """N x (T + 1) term degrees of clamped rows; the last column is 1."""
-        degrees = np.ones((len(x), self.n_terms + 1))
-        for formula, terms, inputs, params in self.shapes:
-            degrees[:, terms] = formula(x[:, inputs], *params)
-        return degrees
-
-    def fire(self, degrees: np.ndarray) -> np.ndarray:
-        """N x R rule strengths, conjoined in antecedent order."""
-        combine = np.minimum if self.mamdani else np.multiply
-        strengths = degrees[:, self.antecedents[:, 0]]
-        for j in range(1, self.antecedents.shape[1]):
-            combine(strengths, degrees[:, self.antecedents[:, j]], out=strengths)
-        return strengths
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """Crisp outputs of clamped rows, ``BATCH_ROWS`` at a time."""
-        out = np.empty(len(x))
-        for start in range(0, len(x), BATCH_ROWS):
-            chunk = x[start:start + BATCH_ROWS]
-            strengths = self.fire(self.fuzzify(chunk))
-            rows = slice(start, start + len(chunk))
-            if self.mamdani:
-                levels = np.maximum.reduceat(strengths, self.label_starts, axis=1)
-                out[rows] = self.centroids(levels)
-            else:
-                out[rows] = self.weighted_averages(chunk, strengths)
-        return out
-
-    def centroids(self, levels: np.ndarray) -> np.ndarray:
-        """Clip each used label at its level (N x labels used, in output
-        order), max-aggregate, and take the end-weighted centroid of each
-        row, as ``defuzz_centroid`` does on the sampled curve, by lookups in
-        ``tables``: for each subset S, sum_k w_k min(c_S, Q_S(x_k)) is the
-        sum of the table's w q below c_S plus c_S times the sum of w from
-        c_S on."""
-        t = self.tables
-        c = np.minimum.reduce(levels[:, t.members], axis=1)
-        j = np.searchsorted(t.keys, t.table + 1j * c)
-        below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
-        peaks = levels.max(axis=1, initial=0.0)
-        if peaks.min() < SMALL_LEVEL:
-            # Scale each row by the power of two that takes its highest level
-            # to about 1/2. That is exact and leaves the ratio as it is, but
-            # keeps the products of subnormal levels from rounding to a few
-            # units. The q below c_S sum to at most resolution x c_S, so
-            # nothing overflows.
-            scale = _upscale(peaks)[:, None]
-            c, below_wq, below_wxq = c * scale, below_wq * scale, below_wxq * scale
-        mass = below_wq + c * t.above_w[j]
-        moment = below_wxq + c * t.above_wx[j]
-        totals = mass @ t.signs
-        if not (totals > 0.0).all():
-            raise EmptyAggregateError("empty aggregate")
-        return moment @ t.signs / totals
-
-    def weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-        """Strength-weighted average of the affine consequents, clamped to the
-        output universe."""
-        values = self.constants + x @ self.slopes.T
-        totals = strengths.sum(axis=1)
-        if not (totals > 0.0).all():
-            raise EmptyAggregateError("empty aggregate")
-        lo, hi = self.output_range
-        return np.minimum(np.maximum((strengths * values).sum(axis=1) / totals, lo), hi)
-
-
-class FuzzySystem:
-    """Inputs, output, rule list, and engine configuration, bound together.
-
-    For Mamdani systems ``output`` must be a full linguistic variable; Sugeno
-    systems only need its name and universe, but accept the same variable for
-    convenience.
+    of the shape. Degrees fill an N x (T + 1) matrix whose last column is
+    the constant 1, so the R x k antecedent matrix pads short rules with
+    index T. Mamdani rows of that matrix are sorted by consequent label, so
+    one ``np.maximum.reduceat`` turns rule strengths into one clip level per
+    label used, and the output's shared :class:`_CentroidTables` turn those
+    into centroids; Sugeno rows keep the rule order, with constants and an
+    R x n slope matrix.
     """
 
     def __init__(
@@ -469,47 +343,86 @@ class FuzzySystem:
         self.output = output
         self.config = config
         self.input_names = tuple(v.name for v in self.inputs)
-        self._inputs_by_name = dict(zip(self.input_names, self.inputs))
-        if len(self._inputs_by_name) != len(self.inputs):
+        column_of = {name: column for column, name in enumerate(self.input_names)}
+        if len(column_of) != len(self.inputs):
             raise ValueError("input variable names must be unique")
-        self.rules = self._resolve_rules(rules)
-        self._compiled = _CompiledSystem(self)
-
-    def _resolve_rules(self, rules: Sequence[Rule]) -> tuple[Rule, ...]:
-        """Check each rule against the variables and return the rules with
-        the variables' own spelling of every label (see
-        ``LinguisticVariable.term``), so compiling looks labels up verbatim.
-        Unknown labels raise ``KeyError``."""
         if not rules:
             raise ValueError("system needs at least one rule")
+
+        groups: dict[type, tuple[list, list, list]] = {}
+        term_index = {}
+        for column, var in enumerate(self.inputs):
+            for term in var.terms:
+                terms, columns, params = groups.setdefault(type(term.mf), ([], [], []))
+                terms.append(len(term_index))
+                columns.append(column)
+                params.append(term.mf.params)
+                term_index[var.name, term.label] = terms[-1]
+        self._lo = np.array([v.universe.lo for v in self.inputs])
+        self._hi = np.array([v.universe.hi for v in self.inputs])
+        self._n_terms = len(term_index)
+        self._shapes = tuple(
+            (shape.degrees, np.array(terms, dtype=np.intp), np.array(columns, dtype=np.intp),
+             tuple(np.array(row, dtype=float) for row in zip(*params)))
+            for shape, (terms, columns, params) in groups.items()
+        )
+
+        self._mamdani = config.kind is EngineKind.MAMDANI
+        if self._mamdani:
+            label_index = {label: i for i, label in enumerate(output.labels)}
+        else:
+            self._slopes = np.zeros((len(rules), len(self.inputs)))
+        consequents = []  # per rule, a label index (Mamdani) or a constant (Sugeno)
+        # a rule names each input at most once, so it has at most n antecedents
+        antecedents = np.full((len(rules), len(self.inputs)), self._n_terms, dtype=np.intp)
         resolved = []
-        for rule in rules:
-            if len(rule.antecedents) > len(self.inputs):
-                raise ValueError(f"rule has more antecedents than inputs: {rule}")
-            antecedents = []
-            for name, label in rule.antecedents:
-                var = self._inputs_by_name.get(name)
-                if var is None:
+        for r, rule in enumerate(rules):
+            spelled = []
+            for j, (name, label) in enumerate(rule.antecedents):
+                column = column_of.get(name)
+                if column is None:
                     raise ValueError(f"rule references unknown input {name!r}")
-                antecedents.append((name, var.term(label).label))
-            antecedents = tuple(antecedents)
+                label = self.inputs[column].term(label).label
+                spelled.append((name, label))
+                antecedents[r, j] = term_index[name, label]
+            spelled = tuple(spelled)
             consequent = rule.consequent
-            if self.config.kind is EngineKind.MAMDANI:
+            if self._mamdani:
                 if not isinstance(consequent, str):
                     raise ValueError("Mamdani rules need a label consequent")
-                consequent = self.output.term(consequent).label
+                consequent = output.term(consequent).label
+                consequents.append(label_index[consequent])
             else:
                 if not isinstance(consequent, SugenoConsequent):
                     raise ValueError("Sugeno rules need an affine consequent")
-                for name, _ in consequent.coefficients:
-                    if name not in self._inputs_by_name:
-                        raise ValueError(
-                            f"consequent references unknown input {name!r}"
-                        )
-            if (antecedents, consequent) != (rule.antecedents, rule.consequent):
-                rule = Rule(antecedents, consequent)
+                for name, coeff in consequent.coefficients:
+                    if name not in column_of:
+                        raise ValueError(f"consequent references unknown input {name!r}")
+                    self._slopes[r, column_of[name]] += coeff
+                consequents.append(consequent.constant)
+            if (spelled, consequent) != (rule.antecedents, rule.consequent):
+                rule = Rule(spelled, consequent)
             resolved.append(rule)
-        return tuple(resolved)
+
+        order = np.arange(len(rules))
+        if self._mamdani:
+            order = np.argsort(consequents, kind="stable")
+            labels = np.array(consequents)[order]
+            self._label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            try:
+                self._tables = _centroid_tables(
+                    tuple(output.terms[label].mf for label in labels[self._label_starts]),
+                    output.universe, config.resolution,
+                )
+            except ValueError as error:
+                raise ValueError(f"output {output.name!r} {error}") from None
+        else:
+            self._constants = np.array(consequents)
+        width = int((antecedents < self._n_terms).any(axis=0).sum())  # the longest rule's
+        self._antecedents = antecedents[order, :width]
+        # a system may be shared (``build_system`` memoizes): freeze every array
+        _freeze(vars(self).values())
+        self.rules = tuple(resolved)  # set last, as freezing need not walk it
 
     def evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
         """One decision: ``evaluate_batch`` on the one row ``x``, given by
@@ -550,5 +463,66 @@ class FuzzySystem:
             if not isinstance(entry, numbers.Real):
                 raise ValueError(f"input {name!r} is not a number: {entry!r}")
             raise ValueError(f"input {name!r} is NaN")
-        compiled = self._compiled
-        return compiled.evaluate(np.minimum(np.maximum(x, compiled.lo), compiled.hi))
+        x = np.minimum(np.maximum(x, self._lo), self._hi)
+        out = np.empty(len(x))
+        for start in range(0, len(x), BATCH_ROWS):
+            chunk = x[start:start + BATCH_ROWS]
+            strengths = self._fire(self._fuzzify(chunk))
+            if self._mamdani:
+                levels = np.maximum.reduceat(strengths, self._label_starts, axis=1)
+                out[start:start + BATCH_ROWS] = self._centroids(levels)
+            else:
+                out[start:start + BATCH_ROWS] = self._weighted_averages(chunk, strengths)
+        return out
+
+    def _fuzzify(self, x: np.ndarray) -> np.ndarray:
+        """N x (T + 1) term degrees of clamped rows; the last column is 1."""
+        degrees = np.ones((len(x), self._n_terms + 1))
+        for formula, terms, columns, params in self._shapes:
+            degrees[:, terms] = formula(x[:, columns], *params)
+        return degrees
+
+    def _fire(self, degrees: np.ndarray) -> np.ndarray:
+        """N x R rule strengths, conjoined in antecedent order."""
+        combine = np.minimum if self._mamdani else np.multiply
+        strengths = degrees[:, self._antecedents[:, 0]]
+        for j in range(1, self._antecedents.shape[1]):
+            combine(strengths, degrees[:, self._antecedents[:, j]], out=strengths)
+        return strengths
+
+    def _centroids(self, levels: np.ndarray) -> np.ndarray:
+        """Clip each used label at its level (N x labels used, in output
+        order), max-aggregate, and take the end-weighted centroid of each
+        row, as ``defuzz_centroid`` does on the sampled curve, by lookups in
+        ``_tables``: for each subset S, sum_k w_k min(c_S, Q_S(x_k)) is the
+        sum of the table's w q below c_S plus c_S times the sum of w from
+        c_S on."""
+        t = self._tables
+        c = np.minimum.reduce(levels[:, t.members], axis=1)
+        j = np.searchsorted(t.keys, t.table + 1j * c)
+        below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
+        peaks = levels.max(axis=1, initial=0.0)
+        if peaks.min() < SMALL_LEVEL:
+            # Scale each row by the power of two that takes its highest level
+            # to about 1/2. That is exact and leaves the ratio as it is, but
+            # keeps the products of subnormal levels from rounding to a few
+            # units. The q below c_S sum to at most resolution x c_S, so
+            # nothing overflows.
+            scale = _upscale(peaks)[:, None]
+            c, below_wq, below_wxq = c * scale, below_wq * scale, below_wxq * scale
+        mass = below_wq + c * t.above_w[j]
+        moment = below_wxq + c * t.above_wx[j]
+        totals = mass @ t.signs
+        if not (totals > 0.0).all():
+            raise EmptyAggregateError("empty aggregate")
+        return moment @ t.signs / totals
+
+    def _weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+        """Strength-weighted average of the affine consequents, clamped to the
+        output universe."""
+        values = self._constants + x @ self._slopes.T
+        totals = strengths.sum(axis=1)
+        if not (totals > 0.0).all():
+            raise EmptyAggregateError("empty aggregate")
+        lo, hi = self.output.universe.lo, self.output.universe.hi
+        return np.minimum(np.maximum((strengths * values).sum(axis=1) / totals, lo), hi)

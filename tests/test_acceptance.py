@@ -179,7 +179,7 @@ def test_criterion_12_rule_bases_complete_and_round_trip(tri_catalog):
         inputs = tri_catalog.decision_inputs(decision)
         output = tri_catalog.decision_output(decision)
         combos = {
-            tuple(r.antecedent_map()[v.name] for v in inputs) for r in base.rules
+            tuple(dict(r.antecedents)[v.name] for v in inputs) for r in base.rules
         }
         if len(combos) != expected:
             problems.append(f"{decision.value}: duplicate antecedents")

@@ -31,6 +31,7 @@ from fuzzycr.engine import (
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
 from fuzzycr.catalog import DECISION_INPUTS, DecisionId
 from fuzzycr.cli import main
+from fuzzycr.ruledsl import builtin_rulebase
 
 
 def reachable_arrays(value):
@@ -55,6 +56,18 @@ class TestBuildSystem:
         sugeno = build_system(DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
         assert sugeno.config.kind is EngineKind.SUGENO
         assert type(sugeno.inputs[0].term("Moderate").mf).__name__ == "Gaussian"
+
+    @pytest.mark.parametrize("decision", list(DecisionId), ids=lambda d: d.value)
+    @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
+    def test_rules_keep_the_rule_file_order(self, decision, variant):
+        # the kernel sorts Mamdani rows by label; ``rules`` keeps the file's
+        # order, and Sugeno rules differ from the file only in consequents
+        system = build_system(decision, variant)
+        base = builtin_rulebase(decision).rules
+        if system.config.kind is EngineKind.MAMDANI:
+            assert system.rules == base
+        else:
+            assert [r.antecedents for r in system.rules] == [r.antecedents for r in base]
 
     def test_linear_coefficients_tilt_the_output(self):
         flat = build_system(DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO)
@@ -118,10 +131,11 @@ class TestBuildSystemMemo:
 
     @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
     def test_a_shared_system_cannot_be_written(self, variant):
-        compiled = build_system(DecisionId.CHANNEL_SELECTION, variant)._compiled
-        arrays = list(reachable_arrays(compiled))
-        # input bounds, antecedents, and per shape class its term and input
-        # columns and parameter rows, at the least
+        system = build_system(DecisionId.CHANNEL_SELECTION, variant)
+        arrays = list(reachable_arrays(system))
+        # the whole system, shared centroid tables included: input bounds,
+        # antecedents, and per shape class its term and input columns and
+        # parameter rows, at the least
         assert len(arrays) >= 8
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -134,7 +148,7 @@ class TestBuildSystemMemo:
                       DecisionId.ACCESS_LATENCY, DecisionId.BANDWIDTH_ALLOCATION]
         systems = [build_system(decision, variant) for decision in five_label]
         assert all(len(fs.output.terms) == 5 for fs in systems)
-        assert len({id(fs._compiled.tables) for fs in systems}) == 1
+        assert len({id(fs._tables) for fs in systems}) == 1
 
     def test_the_cache_holds_every_standard_system(self):
         assert analysis.BUILD_CACHE_SIZE >= len(DecisionId) * len(VariantId)
@@ -318,6 +332,21 @@ class TestSurface:
     def test_same_input_twice_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             surface_grid(DecisionId.HANDOFF_STATUS, "snr", "snr")
+
+    @pytest.mark.parametrize("grid,variants,message", [
+        ((), ALL_VARIANTS, "sweep grid must be nonempty"),
+        ((50.0, 10.0, 10.0), ALL_VARIANTS, "sweep grid must be strictly increasing"),
+        (analysis.SURFACE_GRID, (), "sweep needs at least one variant"),
+    ])
+    def test_a_bad_grid_or_no_variants_is_rejected_as_a_sweep_rejects_it(
+        self, grid, variants, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=grid, variants=variants)
+        with pytest.raises(ValueError, match=message):
+            surface_grid(
+                DecisionId.HANDOFF_STATUS, "snr", "interference", grid=grid, variants=variants
+            )
 
 
 class TestPearson:

@@ -372,21 +372,21 @@ def test_rule_labels_are_matched_like_variable_labels(config):
 def test_raising_a_term_degree_never_lowers_a_clip_level_or_strength(decision, variant, data):
     # a fuzzified N x (T + 1) degree matrix, whose last column is the constant
     # 1 that pads short rules, and the same matrix with one term raised
-    compiled = build_system(decision, variant)._compiled
+    fs = build_system(decision, variant)
     n = data.draw(st.integers(1, 4))
-    degrees = np.ones((n, compiled.n_terms + 1))
+    degrees = np.ones((n, fs._n_terms + 1))
     degrees[:, :-1] = data.draw(st.lists(
-        st.lists(st.floats(0.0, 1.0), min_size=compiled.n_terms, max_size=compiled.n_terms),
+        st.lists(st.floats(0.0, 1.0), min_size=fs._n_terms, max_size=fs._n_terms),
         min_size=n, max_size=n,
     ))
     raised = degrees.copy()
-    column = data.draw(st.integers(0, compiled.n_terms - 1))
+    column = data.draw(st.integers(0, fs._n_terms - 1))
     raised[:, column] = [data.draw(st.floats(d, 1.0)) for d in degrees[:, column]]
-    before, after = compiled.fire(degrees), compiled.fire(raised)
-    if compiled.mamdani:
+    before, after = fs._fire(degrees), fs._fire(raised)
+    if fs._mamdani:
         # clip levels: the strongest rule of each consequent label
-        before = np.maximum.reduceat(before, compiled.label_starts, axis=1)
-        after = np.maximum.reduceat(after, compiled.label_starts, axis=1)
+        before = np.maximum.reduceat(before, fs._label_starts, axis=1)
+        after = np.maximum.reduceat(after, fs._label_starts, axis=1)
     assert (after >= before).all()
 
 
@@ -396,7 +396,7 @@ def test_an_output_with_too_many_overlapping_labels_is_rejected():
         ladder_system("gaussian", 7)
     # a triangle ladder overlaps only its neighbours: 7 + 6 subsets
     fs = ladder_system("triangular", 7)
-    assert len(fs._compiled.tables.signs) == 13 <= MAX_LABEL_SUBSETS
+    assert len(fs._tables.signs) == 13 <= MAX_LABEL_SUBSETS
     assert_parity(fs, np.linspace(-10.0, 110.0, 121)[:, None])
 
 
@@ -458,6 +458,6 @@ def test_centroids_equal_the_sampled_reference(name, levels):
         ]
     except EmptyAggregateError:
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
-            fs._compiled.centroids(np.array(rows))
+            fs._centroids(np.array(rows))
         return
-    assert np.abs(fs._compiled.centroids(np.array(rows)) - expected).max() <= PARITY
+    assert np.abs(fs._centroids(np.array(rows)) - expected).max() <= PARITY

@@ -225,7 +225,7 @@ class TestSystemValidation:
 
     def test_rule_arity_capped_by_inputs(self):
         rule = Rule.of({"x": "Lo", "z": "Hi"}, "Mid")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown input 'z'"):
             mamdani_system([rule])
 
     def test_unknown_labels_rejected(self):

@@ -36,7 +36,7 @@ class TestParser:
         base = parse_rules(text, inputs, output)
         assert len(base) == 1
         rule = base.rules[0]
-        assert rule.antecedent_map() == {
+        assert dict(rule.antecedents) == {
             "signal_strength": "VeryHigh",
             "spectrum_demand": "Low",
             "snr": "Moderate",
@@ -57,14 +57,14 @@ class TestParser:
         inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
         text = "if SNR is very_low then HANDOFF_STATUS is off"
         rule = parse_rules(text, inputs, output).rules[0]
-        assert rule.antecedent_map() == {"snr": "VeryLow"}
+        assert dict(rule.antecedents) == {"snr": "VeryLow"}
         assert rule.consequent == "Off"
 
     def test_spaces_in_labels(self, tri_catalog):
         inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
         text = "IF snr IS Very Low THEN handoff status IS Off"
         rule = parse_rules(text, inputs, output).rules[0]
-        assert rule.antecedent_map() == {"snr": "VeryLow"}
+        assert dict(rule.antecedents) == {"snr": "VeryLow"}
 
     def test_unknown_variable_reports_line(self, tri_catalog):
         inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
@@ -137,7 +137,7 @@ class TestBuiltinBases:
         base = builtin_rulebase(decision)
         inputs, _ = bound_variables(tri_catalog, decision)
         combos = {
-            tuple(rule.antecedent_map()[v.name] for v in inputs)
+            tuple(dict(rule.antecedents)[v.name] for v in inputs)
             for rule in base.rules
         }
         assert len(combos) == len(base.rules)  # no duplicate antecedents
@@ -153,14 +153,14 @@ class TestBuiltinBases:
 
     def test_spot_checked_rows(self):
         handoff = {
-            tuple(sorted(r.antecedent_map().items())): r.consequent
+            tuple(sorted(dict(r.antecedents).items())): r.consequent
             for r in builtin_rulebase(DecisionId.HANDOFF_STATUS).rules
         }
         assert handoff[(("interference", "Moderate"), ("snr", "VeryHigh"))] == "On"
         assert handoff[(("interference", "VeryLow"), ("snr", "Moderate"))] == "Off"
 
         spectrum = {
-            tuple(sorted(r.antecedent_map().items())): r.consequent
+            tuple(sorted(dict(r.antecedents).items())): r.consequent
             for r in builtin_rulebase(DecisionId.ACCESS_SPECTRUM).rules
         }
         key = (
@@ -171,13 +171,13 @@ class TestBuiltinBases:
         assert spectrum[key] == "VeryLow"
 
         latency = {
-            tuple(sorted(r.antecedent_map().items())): r.consequent
+            tuple(sorted(dict(r.antecedents).items())): r.consequent
             for r in builtin_rulebase(DecisionId.ACCESS_LATENCY).rules
         }
         assert latency[(("ba_traffic_intensity", "Absent"), ("su_traffic_intensity", "VeryLow"))] == "VeryLow"
 
         bandwidth = {
-            tuple(sorted(r.antecedent_map().items())): r.consequent
+            tuple(sorted(dict(r.antecedents).items())): r.consequent
             for r in builtin_rulebase(DecisionId.BANDWIDTH_ALLOCATION).rules
         }
         assert bandwidth[(("access_latency", "VeryHigh"), ("traffic_priority", "Present"))] == "VeryLow"
@@ -185,7 +185,7 @@ class TestBuiltinBases:
 
     def test_channel_selection_spot_rows(self):
         rows = {
-            tuple(sorted(r.antecedent_map().items())): r.consequent
+            tuple(sorted(dict(r.antecedents).items())): r.consequent
             for r in builtin_rulebase(DecisionId.CHANNEL_SELECTION).rules
         }
 
