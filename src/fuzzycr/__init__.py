@@ -35,12 +35,12 @@ from .catalog import (
 from .engine import (
     AggregateCurve,
     EmptyAggregateError,
-    EngineConfig,
     EngineKind,
     FuzzyError,
     FuzzySystem,
     Rule,
     SugenoConsequent,
+    check_resolution,
     defuzz_centroid,
     defuzzify,
     firing_strength,

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog, sugeno_levels
-from .engine import EngineConfig, EngineKind, FuzzyError, FuzzySystem, Rule, SugenoConsequent
+from .engine import FuzzyError, FuzzySystem, Rule, SugenoConsequent, check_resolution
 from .membership import parse_named
 from .ruledsl import builtin_rulebase
 
@@ -60,6 +60,7 @@ class VariantId(Enum):
 
 
 ALL_VARIANTS = tuple(VariantId)
+_SUGENO_VARIANTS = (VariantId.CONSTANT_SUGENO, VariantId.LINEAR_SUGENO)
 
 
 class DegenerateSeriesError(ValueError):
@@ -100,35 +101,33 @@ def build_system(
     consequents = tuple(sorted(
         (label, tuple(values)) for label, values in (sugeno_consequents or {}).items()
     ))
-    config = EngineConfig.mamdani(resolution)
-    if variant in (VariantId.CONSTANT_SUGENO, VariantId.LINEAR_SUGENO):
-        config = EngineConfig.sugeno()
-    return _build_system(decision, variant, config, consequents)
+    check_resolution(resolution)
+    if variant in _SUGENO_VARIANTS:
+        resolution = 1001  # samples nothing: one shared system for any resolution
+    return _build_system(decision, variant, resolution, consequents)
 
 
 @functools.lru_cache(maxsize=BUILD_CACHE_SIZE)
 def _build_system(
     decision: DecisionId,
     variant: VariantId,
-    config: EngineConfig,
+    resolution: int,
     sugeno_consequents: tuple[tuple[str, tuple[float, ...]], ...],
 ) -> FuzzySystem:
     family = "triangular" if variant is VariantId.TRIANGULAR_MAMDANI else "gaussian"
     catalog = standard_catalog(family)
     output = catalog.decision_output(decision)
-    input_names = DECISION_INPUTS[decision]
-    consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
     given = check_sugeno_consequents(decision, sugeno_consequents)
-    if variant is VariantId.LINEAR_SUGENO:
-        consequents.update(given)
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
-    if config.kind is EngineKind.SUGENO:
+    if variant in _SUGENO_VARIANTS:
+        consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
+        consequents.update(given if variant is VariantId.LINEAR_SUGENO else {})
         affine = {
-            label: SugenoConsequent(constant, tuple(zip(input_names, slopes)))
+            label: SugenoConsequent(constant, tuple(zip(DECISION_INPUTS[decision], slopes)))
             for label, (constant, *slopes) in consequents.items()
         }
         rules = [Rule(rule.antecedents, affine[rule.consequent]) for rule in rules]
-    return FuzzySystem(catalog.decision_inputs(decision), output, rules, config)
+    return FuzzySystem(catalog.decision_inputs(decision), output, rules, resolution)
 
 
 def check_sugeno_consequents(

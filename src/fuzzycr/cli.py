@@ -37,7 +37,7 @@ from .analysis import (
     surface_grid,
 )
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog
-from .engine import EngineConfig, FuzzyError
+from .engine import FuzzyError, check_resolution
 from .ruledsl import RuleParseError, parse_catalog_rules
 from .svgplot import write_line_chart
 
@@ -148,16 +148,10 @@ def load_config(path: Path) -> CliConfig:
     return config
 
 
-def _parse_resolution(text: str) -> int:
-    # checked by EngineConfig, the one owner of the rule, at load time so the
-    # error can carry the config line
-    return EngineConfig.mamdani(int(text)).resolution
-
-
 # Top-level config keys, each the name of the ``CliConfig`` field it sets,
 # with the parser of its value.
 _SCALAR_KEYS = {
-    "resolution": _parse_resolution,
+    "resolution": lambda text: check_resolution(int(text)),
     "fixed_value": functools.partial(_parse_number, name="fixed_value"),
     "grid": functools.partial(_parse_grid, name="grid"),
     "variant": VariantId.parse,

@@ -1,10 +1,11 @@
 """Mamdani and Sugeno inference engines.
 
-A :class:`FuzzySystem` checks and compiles its rules in one pass at
-construction, into read-only index arrays. :meth:`FuzzySystem.evaluate_batch`
-checks and clamps N rows and runs its private kernel on them;
-:meth:`FuzzySystem.evaluate` is the same call on one row. Both are pure and
-reentrant, so systems can be evaluated from many threads at once.
+A :class:`FuzzySystem` takes its kind from its rules' consequents, and checks
+and compiles the rules in one pass at construction, into read-only index
+arrays. :meth:`FuzzySystem.evaluate_batch` checks and clamps N rows and runs
+its private kernel on them; :meth:`FuzzySystem.evaluate` is the same call on
+one row. Both are pure and reentrant, so systems can be evaluated from many
+threads at once.
 
 ``firing_strength``, ``aggregate_clipped`` and ``defuzz_centroid`` compute the
 same inference rule by rule. No system calls them; they are the independent
@@ -25,7 +26,7 @@ from .membership import LinguisticVariable, MembershipFunction, Universe
 
 __all__ = [
     "EngineKind",
-    "EngineConfig",
+    "check_resolution",
     "SugenoConsequent",
     "Rule",
     "FuzzySystem",
@@ -64,34 +65,20 @@ class EmptyAggregateError(FuzzyError):
 
 
 class EngineKind(Enum):
+    """How a system infers, as its consequents say. Mamdani (label consequents)
+    conjoins, clips and aggregates by min/min/max and takes the centroid
+    (Mamdani & Assilian); Sugeno (affine consequents) conjoins by product and
+    takes the weighted average (Takagi & Sugeno)."""
+
     MAMDANI = "mamdani"
     SUGENO = "sugeno"
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine kind and the sample count of the output universe, which only
-    Mamdani systems read. The kind fixes the rest: Mamdani conjoins, clips
-    and aggregates by min/min/max and takes the centroid (Mamdani &
-    Assilian); Sugeno conjoins by product and takes the weighted average
-    (Takagi & Sugeno)."""
-
-    kind: EngineKind
-    resolution: int = 1001
-
-    def __post_init__(self) -> None:
-        if self.resolution < 101 or self.resolution % 2 == 0:
-            raise ValueError(
-                f"resolution must be odd and >= 101, got {self.resolution}"
-            )
-
-    @staticmethod
-    def mamdani(resolution: int = 1001) -> "EngineConfig":
-        return EngineConfig(EngineKind.MAMDANI, resolution)
-
-    @staticmethod
-    def sugeno() -> "EngineConfig":
-        return EngineConfig(EngineKind.SUGENO)
+def check_resolution(resolution: int) -> int:
+    """``resolution``, a Mamdani output's sample count, if odd and >= 101."""
+    if resolution < 101 or resolution % 2 == 0:
+        raise ValueError(f"resolution must be odd and >= 101, got {resolution}")
+    return resolution
 
 
 @dataclass(frozen=True)
@@ -108,9 +95,11 @@ class SugenoConsequent:
     def __post_init__(self) -> None:
         if not np.isfinite(self.constant):
             raise ValueError("consequent constant must be finite")
-        for name, coeff in self.coefficients:
+        for i, (name, coeff) in enumerate(self.coefficients):
             if not np.isfinite(coeff):
                 raise ValueError(f"coefficient for {name!r} must be finite")
+            if name in dict(self.coefficients[:i]):
+                raise ValueError(f"consequent repeats a coefficient for {name!r}")
 
 
 Consequent = Union[str, SugenoConsequent]
@@ -129,6 +118,8 @@ class Rule:
         names = [name for name, _ in self.antecedents]
         if len(set(names)) != len(names):
             raise ValueError(f"rule repeats an antecedent variable: {names}")
+        if not isinstance(self.consequent, (str, SugenoConsequent)):
+            raise ValueError(f"rule needs a label or SugenoConsequent, got {self.consequent!r}")
 
     @staticmethod
     def of(antecedents: Mapping[str, str], consequent: Consequent) -> "Rule":
@@ -312,13 +303,14 @@ def _centroid_tables(
 
 
 class FuzzySystem:
-    """Inputs, output, rules and engine configuration, compiled at
-    construction into read-only arrays.
+    """Inputs, output and rules, compiled at construction into read-only arrays.
 
-    For Mamdani systems ``output`` must be a full linguistic variable; Sugeno
-    systems only need its name and universe, but accept the same variable for
-    convenience. ``rules`` keeps the caller's order and the variables' own
-    spelling of each label (``LinguisticVariable.term``, ``KeyError`` if none).
+    Label consequents make a Mamdani ``kind``, ``SugenoConsequent``s a Sugeno
+    one; a mix is rejected. Only Mamdani systems sample their output, at
+    ``resolution`` points, and need ``output`` to be a full linguistic
+    variable; Sugeno systems read only its name and universe. ``rules`` keeps
+    the caller's order and the variables' own spelling of each label
+    (``LinguisticVariable.term``, ``KeyError`` if none).
 
     Terms of all inputs form one flat table of T terms, grouped by shape
     class: each group holds its class's ``degrees`` formula, the degree
@@ -337,17 +329,21 @@ class FuzzySystem:
         inputs: Sequence[LinguisticVariable],
         output: LinguisticVariable,
         rules: Sequence[Rule],
-        config: EngineConfig,
+        resolution: int = 1001,
     ) -> None:
         self.inputs = tuple(inputs)
         self.output = output
-        self.config = config
+        self.resolution = check_resolution(resolution)
         self.input_names = tuple(v.name for v in self.inputs)
         column_of = {name: column for column, name in enumerate(self.input_names)}
         if len(column_of) != len(self.inputs):
             raise ValueError("input variable names must be unique")
         if not rules:
             raise ValueError("system needs at least one rule")
+        mamdani = isinstance(rules[0].consequent, str)
+        if any(isinstance(rule.consequent, str) != mamdani for rule in rules):
+            raise ValueError("rules mix label and affine consequents")
+        self.kind = EngineKind.MAMDANI if mamdani else EngineKind.SUGENO
 
         groups: dict[type, tuple[list, list, list]] = {}
         term_index = {}
@@ -367,8 +363,7 @@ class FuzzySystem:
             for shape, (terms, columns, params) in groups.items()
         )
 
-        self._mamdani = config.kind is EngineKind.MAMDANI
-        if self._mamdani:
+        if mamdani:
             label_index = {label: i for i, label in enumerate(output.labels)}
         else:
             self._slopes = np.zeros((len(rules), len(self.inputs)))
@@ -387,14 +382,10 @@ class FuzzySystem:
                 antecedents[r, j] = term_index[name, label]
             spelled = tuple(spelled)
             consequent = rule.consequent
-            if self._mamdani:
-                if not isinstance(consequent, str):
-                    raise ValueError("Mamdani rules need a label consequent")
+            if mamdani:
                 consequent = output.term(consequent).label
                 consequents.append(label_index[consequent])
             else:
-                if not isinstance(consequent, SugenoConsequent):
-                    raise ValueError("Sugeno rules need an affine consequent")
                 for name, coeff in consequent.coefficients:
                     if name not in column_of:
                         raise ValueError(f"consequent references unknown input {name!r}")
@@ -405,14 +396,14 @@ class FuzzySystem:
             resolved.append(rule)
 
         order = np.arange(len(rules))
-        if self._mamdani:
+        if mamdani:
             order = np.argsort(consequents, kind="stable")
             labels = np.array(consequents)[order]
             self._label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
             try:
                 self._tables = _centroid_tables(
                     tuple(output.terms[label].mf for label in labels[self._label_starts]),
-                    output.universe, config.resolution,
+                    output.universe, self.resolution,
                 )
             except ValueError as error:
                 raise ValueError(f"output {output.name!r} {error}") from None
@@ -468,7 +459,7 @@ class FuzzySystem:
         for start in range(0, len(x), BATCH_ROWS):
             chunk = x[start:start + BATCH_ROWS]
             strengths = self._fire(self._fuzzify(chunk))
-            if self._mamdani:
+            if self.kind is EngineKind.MAMDANI:
                 levels = np.maximum.reduceat(strengths, self._label_starts, axis=1)
                 out[start:start + BATCH_ROWS] = self._centroids(levels)
             else:
@@ -484,7 +475,7 @@ class FuzzySystem:
 
     def _fire(self, degrees: np.ndarray) -> np.ndarray:
         """N x R rule strengths, conjoined in antecedent order."""
-        combine = np.minimum if self._mamdani else np.multiply
+        combine = np.minimum if self.kind is EngineKind.MAMDANI else np.multiply
         strengths = degrees[:, self._antecedents[:, 0]]
         for j in range(1, self._antecedents.shape[1]):
             combine(strengths, degrees[:, self._antecedents[:, j]], out=strengths)

@@ -192,6 +192,8 @@ class LinguisticVariable:
             if key in index:
                 raise ValueError(f"duplicate label {term.label!r} in {self.name!r}")
             index[key] = term
+        # and under its own label, to skip normalizing; no label is another's key
+        index.update((term.label, term) for term in self.terms)
         object.__setattr__(self, "_index", index)
         xs = self.universe.samples(_COVERAGE_SAMPLES)
         best = np.max([t.mf.profile(xs) for t in self.terms], axis=0)
@@ -208,7 +210,7 @@ class LinguisticVariable:
     def term(self, label: str) -> LinguisticTerm:
         """Look up a term; label matching is case/underscore/space-insensitive."""
         try:
-            return self._index[normalize_label(label)]
+            return self._index.get(label) or self._index[normalize_label(label)]
         except KeyError:
             raise KeyError(
                 f"variable {self.name!r} has no label {label!r}; "

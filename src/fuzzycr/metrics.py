@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .membership import _require_finite
+
 __all__ = [
     "BOLTZMANN_J_PER_K",
     "CalibrationRange",
@@ -109,6 +111,7 @@ class CalibrationRange:
     raw_hi: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.raw_lo < self.raw_hi:
             raise ValueError(
                 f"calibration needs raw_lo < raw_hi, got [{self.raw_lo}, {self.raw_hi}]"
@@ -160,11 +163,9 @@ class RadioScenario:
     blocking_prob: float = 0.0
     lam1: float = 0.5
     lam2: float = 0.5
-    received_signal: float = 1.0
-    sent_signal: float = 1.0
-    noise_term: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         nonneg = (
             self.desired_power, self.interference_power, self.noise_power,
             self.p_i, self.free_time, self.usage_time, self.arrivals,
@@ -179,8 +180,6 @@ class RadioScenario:
             raise ValueError("blocking probability must be in [0, 1]")
         if self.avail_band <= 0:
             raise ValueError("available band must be positive")
-        if self.sent_signal == 0:
-            raise ValueError("sent signal must be nonzero")
 
     def raw_metrics(self) -> dict[str, float]:
         return {

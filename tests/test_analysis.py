@@ -22,7 +22,6 @@ from fuzzycr.analysis import (
 )
 from fuzzycr.engine import (
     EmptyAggregateError,
-    EngineConfig,
     EngineKind,
     FuzzyError,
     FuzzySystem,
@@ -50,12 +49,23 @@ def reachable_arrays(value):
 class TestBuildSystem:
     def test_variant_configurations(self):
         tri = build_system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
-        assert tri.config.kind is EngineKind.MAMDANI
+        assert tri.kind is EngineKind.MAMDANI
         gauss = build_system(DecisionId.HANDOFF_STATUS, VariantId.GAUSSIAN_MAMDANI)
         assert type(gauss.inputs[0].term("Moderate").mf).__name__ == "Gaussian"
         sugeno = build_system(DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
-        assert sugeno.config.kind is EngineKind.SUGENO
+        assert sugeno.kind is EngineKind.SUGENO
         assert type(sugeno.inputs[0].term("Moderate").mf).__name__ == "Gaussian"
+
+    @pytest.mark.parametrize("decision", list(DecisionId), ids=lambda d: d.value)
+    @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
+    def test_each_variant_has_its_kind(self, decision, variant):
+        kind = {
+            VariantId.TRIANGULAR_MAMDANI: EngineKind.MAMDANI,
+            VariantId.GAUSSIAN_MAMDANI: EngineKind.MAMDANI,
+            VariantId.CONSTANT_SUGENO: EngineKind.SUGENO,
+            VariantId.LINEAR_SUGENO: EngineKind.SUGENO,
+        }[variant]
+        assert build_system(decision, variant).kind is kind
 
     @pytest.mark.parametrize("decision", list(DecisionId), ids=lambda d: d.value)
     @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
@@ -64,7 +74,7 @@ class TestBuildSystem:
         # order, and Sugeno rules differ from the file only in consequents
         system = build_system(decision, variant)
         base = builtin_rulebase(decision).rules
-        if system.config.kind is EngineKind.MAMDANI:
+        if system.kind is EngineKind.MAMDANI:
             assert system.rules == base
         else:
             assert [r.antecedents for r in system.rules] == [r.antecedents for r in base]
@@ -309,7 +319,7 @@ class TestSurface:
             Rule.of({"a": "Hi", "b": "Lo"}, "Mid"),
             Rule.of({"a": "Hi", "b": "Hi"}, "High"),
         ]
-        system = FuzzySystem([a, b], out, rules, EngineConfig.mamdani())
+        system = FuzzySystem([a, b], out, rules)
         grid = tuple(float(x) for x in range(0, 101, 10))
         values = np.empty((len(grid), len(grid)))
         for i, av in enumerate(grid):

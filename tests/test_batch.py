@@ -25,7 +25,6 @@ from fuzzycr.engine import (
     BATCH_ROWS,
     MAX_LABEL_SUBSETS,
     EmptyAggregateError,
-    EngineConfig,
     EngineKind,
     FuzzySystem,
     Rule,
@@ -74,9 +73,9 @@ def reference_one(fs, row):
     affine consequents by strength and clamp to the output universe (Sugeno)."""
     x = {var.name: var.universe.clamp(float(v)) for var, v in zip(fs.inputs, row)}
     fuzzified = {var.name: var.fuzzify(x[var.name]) for var in fs.inputs}
-    strengths = [firing_strength(rule, fuzzified, fs.config.kind) for rule in fs.rules]
-    if fs.config.kind is EngineKind.MAMDANI:
-        xs = fs.output.universe.samples(fs.config.resolution)
+    strengths = [firing_strength(rule, fuzzified, fs.kind) for rule in fs.rules]
+    if fs.kind is EngineKind.MAMDANI:
+        xs = fs.output.universe.samples(fs.resolution)
         profiles = {term.label: term.mf.profile(xs) for term in fs.output.terms}
         levels = {}
         for rule, w in zip(fs.rules, strengths):
@@ -274,10 +273,10 @@ MIXED_INPUTS = {
 }
 
 
-def mixed_system(config, inputs=MIXED_INPUTS["triangles-first"]):
+def mixed_system(kind, inputs=MIXED_INPUTS["triangles-first"]):
     """Mixed shapes in one input, and rules of one and two antecedents."""
     consequents = ["Low", "High", "High", "Low"]
-    if config.kind is EngineKind.SUGENO:
+    if kind is EngineKind.SUGENO:
         consequents = [SugenoConsequent(c, (("m", 0.3),)) for c in (10.0, 90.0, 70.0, 5.0)]
     rules = [
         Rule.of({"x": "Lo"}, consequents[0]),
@@ -285,19 +284,19 @@ def mixed_system(config, inputs=MIXED_INPUTS["triangles-first"]):
         Rule.of({"x": "Hi", "m": "High"}, consequents[2]),
         Rule.of({"m": "Low"}, consequents[3]),
     ]
-    return FuzzySystem(inputs, Y_VAR, rules, config)
+    return FuzzySystem(inputs, Y_VAR, rules)
 
 
 @pytest.mark.parametrize("inputs", MIXED_INPUTS.values(), ids=list(MIXED_INPUTS))
-@pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
-def test_mixed_shapes_and_rule_lengths_match_scalar(config, inputs):
-    fs = mixed_system(config, inputs)
+@pytest.mark.parametrize("kind", EngineKind)
+def test_mixed_shapes_and_rule_lengths_match_scalar(kind, inputs):
+    fs = mixed_system(kind, inputs)
     x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
     assert_parity(fs, x)
 
 
 def one_label_system():
-    return FuzzySystem([X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, "High")], EngineConfig.mamdani())
+    return FuzzySystem([X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, "High")])
 
 
 def ladder_system(family, labels):
@@ -312,14 +311,12 @@ def ladder_system(family, labels):
         terms.append(LinguisticTerm(f"L{i}", mf))
     output = LinguisticVariable("ladder", U, tuple(terms))
     rules = [Rule.of({"x": "Lo" if i < labels / 2 else "Hi"}, f"L{i}") for i in range(labels)]
-    return FuzzySystem([X_VAR], output, rules, EngineConfig.mamdani())
+    return FuzzySystem([X_VAR], output, rules)
 
 
 def test_empty_aggregate_raises():
     mamdani = one_label_system()
-    sugeno = FuzzySystem(
-        [X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, SugenoConsequent(50.0))], EngineConfig.sugeno()
-    )
+    sugeno = FuzzySystem([X_VAR], Y_VAR, [Rule.of({"x": "Hi"}, SugenoConsequent(50.0))])
     for fs in (mamdani, sugeno):
         assert fs.evaluate_batch([[100.0]])[0] == fs.evaluate([100.0])
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
@@ -329,7 +326,7 @@ def test_empty_aggregate_raises():
 def test_a_label_outside_the_universe_leaves_every_aggregate_empty():
     far = LinguisticTerm("Far", Triangular(150, 200, 250))
     output = LinguisticVariable("y", U, Y_VAR.terms + (far,))
-    fs = FuzzySystem([X_VAR], output, [Rule.of({"x": "Lo"}, "Far")], EngineConfig.mamdani())
+    fs = FuzzySystem([X_VAR], output, [Rule.of({"x": "Lo"}, "Far")])
     for x in ([0.0], [50.0], [100.0]):
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
             fs.evaluate(x)
@@ -343,22 +340,22 @@ def test_rule_order_does_not_matter(case, data):
     decision, variant, x = case
     fs = build_system(decision, variant)
     rules = data.draw(st.permutations(fs.rules))
-    permuted = FuzzySystem(fs.inputs, fs.output, rules, fs.config)
+    permuted = FuzzySystem(fs.inputs, fs.output, rules, fs.resolution)
     assert np.abs(permuted.evaluate_batch(x) - fs.evaluate_batch(x)).max() <= PARITY
     assert np.abs(reference(permuted, x) - reference(fs, x)).max() <= PARITY
 
 
-@pytest.mark.parametrize("config", [EngineConfig.mamdani(), EngineConfig.sugeno()])
-def test_rule_labels_are_matched_like_variable_labels(config):
+@pytest.mark.parametrize("kind", EngineKind)
+def test_rule_labels_are_matched_like_variable_labels(kind):
     # case, spaces, hyphens and underscores are ignored at construction, so
     # both paths see the variables' own labels
     def rules(lo, hi, low, high):
-        if config.kind is EngineKind.SUGENO:
+        if kind is EngineKind.SUGENO:
             low, high = SugenoConsequent(20.0), SugenoConsequent(80.0)
         return [Rule.of({"x": lo}, low), Rule.of({"x": hi}, high)]
 
-    canonical = FuzzySystem([X_VAR], Y_VAR, rules("Lo", "Hi", "Low", "High"), config)
-    spelled = FuzzySystem([X_VAR], Y_VAR, rules("lo", "HI", "l o-w", "hi_GH"), config)
+    canonical = FuzzySystem([X_VAR], Y_VAR, rules("Lo", "Hi", "Low", "High"))
+    spelled = FuzzySystem([X_VAR], Y_VAR, rules("lo", "HI", "l o-w", "hi_GH"))
     assert spelled.rules == canonical.rules
     x = np.linspace(-10.0, 110.0, 25)[:, None]
     assert reference(spelled, x).tolist() == reference(canonical, x).tolist()
@@ -383,7 +380,7 @@ def test_raising_a_term_degree_never_lowers_a_clip_level_or_strength(decision, v
     column = data.draw(st.integers(0, fs._n_terms - 1))
     raised[:, column] = [data.draw(st.floats(d, 1.0)) for d in degrees[:, column]]
     before, after = fs._fire(degrees), fs._fire(raised)
-    if fs._mamdani:
+    if fs.kind is EngineKind.MAMDANI:
         # clip levels: the strongest rule of each consequent label
         before = np.maximum.reduceat(before, fs._label_starts, axis=1)
         after = np.maximum.reduceat(after, fs._label_starts, axis=1)
@@ -411,7 +408,7 @@ def mamdani_systems():
         for v in (VariantId.TRIANGULAR_MAMDANI, VariantId.GAUSSIAN_MAMDANI)
         for resolution in (101, 1001)
     }
-    systems["mixed"] = lambda: mixed_system(EngineConfig.mamdani())
+    systems["mixed"] = lambda: mixed_system(EngineKind.MAMDANI)
     systems["one-label"] = one_label_system
     systems["ladder-7"] = lambda: ladder_system("triangular", 7)
     systems["gaussian-ladder-6"] = lambda: ladder_system("gaussian", 6)
@@ -445,7 +442,7 @@ def test_centroids_equal_the_sampled_reference(name, levels):
     # uses, against clipping, max-aggregating and the centroid of the curve
     fs = MAMDANI_SYSTEMS[name]()
     used = [t for t in fs.output.terms if any(r.consequent == t.label for r in fs.rules)]
-    xs = fs.output.universe.samples(fs.config.resolution)
+    xs = fs.output.universe.samples(fs.resolution)
     profiles = {t.label: t.mf.profile(xs) for t in used}
     rows = [
         [p[v % xs.size] if isinstance(v, int) else v for p, v in zip(profiles.values(), row)]

@@ -4,13 +4,13 @@ import pytest
 from fuzzycr.engine import (
     AggregateCurve,
     EmptyAggregateError,
-    EngineConfig,
     EngineKind,
     FuzzyError,
     FuzzySystem,
     Rule,
     SugenoConsequent,
     aggregate_clipped,
+    check_resolution,
     defuzz_centroid,
     firing_strength,
 )
@@ -55,12 +55,7 @@ def make_output():
 
 
 def mamdani_system(rules, resolution=1001):
-    return FuzzySystem(
-        [make_input()],
-        make_output(),
-        rules,
-        EngineConfig.mamdani(resolution=resolution),
-    )
+    return FuzzySystem([make_input()], make_output(), rules, resolution)
 
 
 class TestFiringStrength:
@@ -148,9 +143,7 @@ class TestSugeno:
             Rule.of({"x": "Lo"}, consequents[0]),
             Rule.of({"x": "Hi"}, consequents[1]),
         ]
-        return FuzzySystem(
-            [make_input()], make_output(), rules, EngineConfig.sugeno()
-        )
+        return FuzzySystem([make_input()], make_output(), rules)
 
     def test_equal_weights_average(self):
         system = self.make_system(
@@ -160,9 +153,7 @@ class TestSugeno:
 
     def test_single_fired_rule_normalizes_weight_out(self):
         rules = [Rule.of({"x": "Lo"}, SugenoConsequent(40.0))]
-        system = FuzzySystem(
-            [make_input()], make_output(), rules, EngineConfig.sugeno()
-        )
+        system = FuzzySystem([make_input()], make_output(), rules)
         # the only rule fires at 0.3; its weight cancels in the average
         assert system.evaluate([70.0]) == pytest.approx(40.0)
 
@@ -191,9 +182,7 @@ class TestSugeno:
             Rule.of({"x": "Lo"}, SugenoConsequent(10.0, (("x", 0.5),))),
             Rule.of({"x": "Hi"}, SugenoConsequent(10.0, (("x", 0.5),))),
         ]
-        system = FuzzySystem(
-            [make_input()], make_output(), rules, EngineConfig.sugeno()
-        )
+        system = FuzzySystem([make_input()], make_output(), rules)
         assert system.evaluate([40.0]) == pytest.approx(10 + 0.5 * 40)
 
     def test_zero_coefficient_affine_equals_constant(self):
@@ -209,19 +198,19 @@ class TestSugeno:
 
     def test_all_zero_weights_raise(self):
         rules = [Rule.of({"x": "Hi"}, SugenoConsequent(50.0))]
-        system = FuzzySystem(
-            [make_input()], make_output(), rules, EngineConfig.sugeno()
-        )
+        system = FuzzySystem([make_input()], make_output(), rules)
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
             system.evaluate([0.0])
 
 
 class TestSystemValidation:
     def test_resolution_must_be_odd_and_large(self):
-        with pytest.raises(ValueError, match="resolution"):
-            EngineConfig.mamdani(resolution=100)
-        with pytest.raises(ValueError, match="resolution"):
-            EngineConfig.mamdani(resolution=1000)
+        assert check_resolution(101) == 101
+        for resolution in (99, 100, 1000):
+            with pytest.raises(ValueError, match=f"odd and >= 101, got {resolution}"):
+                check_resolution(resolution)
+        with pytest.raises(ValueError, match="odd and >= 101, got 1000"):
+            mamdani_system([Rule.of({"x": "Lo"}, "Mid")], resolution=1000)
 
     def test_rule_arity_capped_by_inputs(self):
         rule = Rule.of({"x": "Lo", "z": "Hi"}, "Mid")
@@ -234,9 +223,23 @@ class TestSystemValidation:
         with pytest.raises(KeyError):
             mamdani_system([Rule.of({"x": "Lo"}, "Nope")])
 
-    def test_mamdani_rejects_affine_consequents(self):
-        with pytest.raises(ValueError, match="label consequent"):
-            mamdani_system([Rule.of({"x": "Lo"}, SugenoConsequent(5.0))])
+    def test_consequents_choose_the_kind(self):
+        label, affine = Rule.of({"x": "Lo"}, "Mid"), Rule.of({"x": "Hi"}, SugenoConsequent(5.0))
+        for rules, kind in (([label], EngineKind.MAMDANI), ([affine], EngineKind.SUGENO)):
+            assert FuzzySystem([make_input()], make_output(), rules).kind is kind
+        for rules in ([label, affine], [affine, label]):
+            with pytest.raises(ValueError, match="mix label and affine consequents"):
+                FuzzySystem([make_input()], make_output(), rules)
+
+    @pytest.mark.parametrize("consequent", [5.0, 5, None, ("Mid",)])
+    def test_consequent_must_be_a_label_or_affine(self, consequent):
+        with pytest.raises(ValueError, match="label or SugenoConsequent, got"):
+            Rule.of({"x": "Lo"}, consequent)
+
+    def test_repeated_coefficient_rejected(self):
+        # summing the two slopes would give 0.5 with no error
+        with pytest.raises(ValueError, match="repeats a coefficient for 'x'"):
+            SugenoConsequent(0.0, (("x", 0.2), ("x", 0.3)))
 
     def test_positional_and_named_inputs_agree(self):
         system = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])
@@ -262,7 +265,6 @@ class TestSystemValidation:
                 Rule.of({"x": "Lo"}, SugenoConsequent(10.0, (("x", 0.5),))),
                 Rule.of({"x": "Hi"}, SugenoConsequent(20.0, (("x", 0.5),))),
             ],
-            EngineConfig.sugeno(),
         )
         # the affine consequents see the clamped value too
         assert affine.evaluate([float("-inf")]) == affine.evaluate([0.0]) == 10.0

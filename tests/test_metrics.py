@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -172,8 +175,6 @@ class TestRadioScenario:
         with pytest.raises(ValueError):
             RadioScenario(blocking_prob=1.5)
         with pytest.raises(ValueError):
-            RadioScenario(sent_signal=0.0)
-        with pytest.raises(ValueError):
             RadioScenario(desired_power=-1.0)
 
     def test_calibration_override(self):
@@ -182,6 +183,17 @@ class TestRadioScenario:
         narrow = scenario.crisp_inputs({"snr": CalibrationRange(0.0, 20.0)})
         assert wide["snr"] == pytest.approx(50.0)
         assert narrow["snr"] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in (RadioScenario, CalibrationRange) for f in dataclasses.fields(cls)
+    ])
+    def test_non_finite_readings_rejected(self, cls, field, value):
+        # left in, they give NaN or plausible numbers downstream
+        valid = {"raw_lo": 0.0, "raw_hi": 1.0} if cls is CalibrationRange else {}
+        with pytest.raises(ValueError, match=f"needs a finite {field}, got"):
+            cls(**{**valid, field: value})
 
     def test_bad_calibration_rejected(self):
         with pytest.raises(ValueError):
