@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -160,14 +161,20 @@ def check_sugeno_consequents(
     return checked
 
 
-def _check_grid(grid: Sequence[float], variants: Sequence[VariantId]) -> None:
-    """Reject an empty or not strictly increasing grid, or no variants."""
+def _check_grid(grid: Sequence[float], variants: Sequence[VariantId]) -> tuple[float, ...]:
+    """``grid`` as a tuple of floats. Reject an empty grid, a value that is
+    not a finite number, a grid not strictly increasing, or no variants."""
+    grid = tuple(grid)
     if not grid:
         raise ValueError("sweep grid must be nonempty")
+    for value in grid:
+        if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ValueError(f"sweep grid must hold finite numbers, got {value!r}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("sweep grid must be strictly increasing")
     if not variants:
         raise ValueError("sweep needs at least one variant")
+    return tuple(float(value) for value in grid)
 
 
 @dataclass(frozen=True)
@@ -186,7 +193,7 @@ class SweepSpec:
                 f"{self.varied!r} is not an input of {self.decision.value}; "
                 f"inputs: {DECISION_INPUTS[self.decision]}"
             )
-        _check_grid(self.grid, self.variants)
+        object.__setattr__(self, "grid", _check_grid(self.grid, self.variants))
 
 
 @dataclass(frozen=True)
@@ -295,7 +302,7 @@ def surface_grid(
     for name in (input_a, input_b):
         if name not in names:
             raise ValueError(f"{name!r} is not an input of {decision.value}")
-    _check_grid(grid, variants)
+    grid = _check_grid(grid, variants)
     grids = [({input_a: grid, input_b: grid}, fixed_value)]
     return _evaluate_grids(decision, grids, variants, system_for)[0]
 

@@ -1,11 +1,11 @@
 """Mamdani and Sugeno inference engines.
 
-A :class:`FuzzySystem` takes its kind from its rules' consequents, and checks
-and compiles the rules in one pass at construction, into read-only index
-arrays. :meth:`FuzzySystem.evaluate_batch` checks and clamps N rows and runs
-its private kernel on them; :meth:`FuzzySystem.evaluate` is the same call on
-one row. Both are pure and reentrant, so systems can be evaluated from many
-threads at once.
+A :class:`FuzzySystem` takes its kind from its rules' consequents, binds
+them with :func:`bind_rule`, as the rule parser does, and compiles them at
+construction into read-only index arrays. :meth:`FuzzySystem.evaluate_batch`
+checks and clamps N rows and runs its private kernel on them;
+:meth:`FuzzySystem.evaluate` is the same call on one row. Both are pure and
+reentrant, so systems can be evaluated from many threads at once.
 
 ``firing_strength``, ``aggregate_clipped`` and ``defuzz_centroid`` compute the
 same inference rule by rule. No system calls them; they are the independent
@@ -22,13 +22,15 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .membership import LinguisticVariable, MembershipFunction, Universe
+from .membership import LinguisticVariable, MembershipFunction, Universe, normalize_label
 
 __all__ = [
     "EngineKind",
     "check_resolution",
     "SugenoConsequent",
     "Rule",
+    "input_index",
+    "bind_rule",
     "FuzzySystem",
     "AggregateCurve",
     "FuzzyError",
@@ -75,10 +77,18 @@ class EngineKind(Enum):
 
 
 def check_resolution(resolution: int) -> int:
-    """``resolution``, a Mamdani output's sample count, if odd and >= 101."""
+    """``resolution``, a Mamdani output's sample count, if an odd int >= 101."""
+    if not isinstance(resolution, numbers.Integral) or isinstance(resolution, bool):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution < 101 or resolution % 2 == 0:
         raise ValueError(f"resolution must be odd and >= 101, got {resolution}")
     return resolution
+
+
+def _is_pair(value, first: type, second: type) -> bool:
+    """Whether ``value`` is a 2-tuple of a ``first`` and a ``second``."""
+    return (isinstance(value, tuple) and len(value) == 2
+            and isinstance(value[0], first) and isinstance(value[1], second))
 
 
 @dataclass(frozen=True)
@@ -93,9 +103,14 @@ class SugenoConsequent:
     coefficients: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.constant, numbers.Real):
+            raise ValueError(f"consequent constant must be a number, got {self.constant!r}")
         if not np.isfinite(self.constant):
             raise ValueError("consequent constant must be finite")
-        for i, (name, coeff) in enumerate(self.coefficients):
+        for i, pair in enumerate(self.coefficients):
+            if not _is_pair(pair, str, numbers.Real):
+                raise ValueError(f"coefficient must be a (name, number) pair, got {pair!r}")
+            name, coeff = pair
             if not np.isfinite(coeff):
                 raise ValueError(f"coefficient for {name!r} must be finite")
             if name in dict(self.coefficients[:i]):
@@ -115,15 +130,49 @@ class Rule:
     def __post_init__(self) -> None:
         if not self.antecedents:
             raise ValueError("rule needs at least one antecedent")
+        for pair in self.antecedents:
+            if not _is_pair(pair, str, str):
+                raise ValueError(f"antecedent must be a (name, label) pair of str, got {pair!r}")
         names = [name for name, _ in self.antecedents]
         if len(set(names)) != len(names):
-            raise ValueError(f"rule repeats an antecedent variable: {names}")
+            raise ValueError(f"variable {max(names, key=names.count)!r} appears twice in one rule")
         if not isinstance(self.consequent, (str, SugenoConsequent)):
             raise ValueError(f"rule needs a label or SugenoConsequent, got {self.consequent!r}")
 
     @staticmethod
     def of(antecedents: Mapping[str, str], consequent: Consequent) -> "Rule":
         return Rule(tuple(antecedents.items()), consequent)
+
+
+def input_index(inputs: Sequence[LinguisticVariable]) -> dict[str, LinguisticVariable]:
+    """Each input under its name and its ``normalize_label`` key, for
+    ``bind_rule``; two names with one key are a ``ValueError``."""
+    index = {normalize_label(var.name): var for var in inputs}
+    if len(index) != len(inputs):
+        raise ValueError("input variable names must be unique")
+    return {**index, **{var.name: var for var in inputs}}
+
+
+def bind_rule(
+    rule: Rule, inputs: Mapping[str, LinguisticVariable], output: LinguisticVariable
+) -> Rule:
+    """``rule`` in its variables' own spelling. Names match in ``inputs``, an
+    ``input_index``, as labels do in ``LinguisticVariable.term``: exact first,
+    then by ``normalize_label``. An unknown name or a repeated variable is a
+    ``ValueError``, an unknown label a ``KeyError``."""
+    antecedents = []
+    for name, label in rule.antecedents:
+        var = inputs.get(name) or inputs.get(normalize_label(name))
+        if var is None:
+            known = ", ".join(dict.fromkeys(v.name for v in inputs.values()))
+            raise ValueError(f"unknown input variable {name!r}; bound inputs: {known}")
+        antecedents.append((var.name, var.term(label).label))
+    consequent = rule.consequent
+    if isinstance(consequent, str):
+        consequent = output.term(consequent).label
+    bound = (tuple(antecedents), consequent)
+    # a rule already in its variables' spelling passed Rule's checks as it is
+    return rule if bound == (rule.antecedents, rule.consequent) else Rule(*bound)
 
 
 def firing_strength(
@@ -309,8 +358,7 @@ class FuzzySystem:
     one; a mix is rejected. Only Mamdani systems sample their output, at
     ``resolution`` points, and need ``output`` to be a full linguistic
     variable; Sugeno systems read only its name and universe. ``rules`` keeps
-    the caller's order and the variables' own spelling of each label
-    (``LinguisticVariable.term``, ``KeyError`` if none).
+    the caller's order, each rule as ``bind_rule`` returns it.
 
     Terms of all inputs form one flat table of T terms, grouped by shape
     class: each group holds its class's ``degrees`` formula, the degree
@@ -335,15 +383,15 @@ class FuzzySystem:
         self.output = output
         self.resolution = check_resolution(resolution)
         self.input_names = tuple(v.name for v in self.inputs)
+        index = input_index(self.inputs)
         column_of = {name: column for column, name in enumerate(self.input_names)}
-        if len(column_of) != len(self.inputs):
-            raise ValueError("input variable names must be unique")
         if not rules:
             raise ValueError("system needs at least one rule")
         mamdani = isinstance(rules[0].consequent, str)
         if any(isinstance(rule.consequent, str) != mamdani for rule in rules):
             raise ValueError("rules mix label and affine consequents")
         self.kind = EngineKind.MAMDANI if mamdani else EngineKind.SUGENO
+        rules = tuple(bind_rule(rule, index, output) for rule in rules)
 
         groups: dict[type, tuple[list, list, list]] = {}
         term_index = {}
@@ -370,30 +418,16 @@ class FuzzySystem:
         consequents = []  # per rule, a label index (Mamdani) or a constant (Sugeno)
         # a rule names each input at most once, so it has at most n antecedents
         antecedents = np.full((len(rules), len(self.inputs)), self._n_terms, dtype=np.intp)
-        resolved = []
         for r, rule in enumerate(rules):
-            spelled = []
-            for j, (name, label) in enumerate(rule.antecedents):
-                column = column_of.get(name)
-                if column is None:
-                    raise ValueError(f"rule references unknown input {name!r}")
-                label = self.inputs[column].term(label).label
-                spelled.append((name, label))
-                antecedents[r, j] = term_index[name, label]
-            spelled = tuple(spelled)
-            consequent = rule.consequent
+            antecedents[r, :len(rule.antecedents)] = [term_index[a] for a in rule.antecedents]
             if mamdani:
-                consequent = output.term(consequent).label
-                consequents.append(label_index[consequent])
+                consequents.append(label_index[rule.consequent])
             else:
-                for name, coeff in consequent.coefficients:
+                for name, coeff in rule.consequent.coefficients:
                     if name not in column_of:
                         raise ValueError(f"consequent references unknown input {name!r}")
                     self._slopes[r, column_of[name]] += coeff
-                consequents.append(consequent.constant)
-            if (spelled, consequent) != (rule.antecedents, rule.consequent):
-                rule = Rule(spelled, consequent)
-            resolved.append(rule)
+                consequents.append(rule.consequent.constant)
 
         order = np.arange(len(rules))
         if mamdani:
@@ -413,7 +447,7 @@ class FuzzySystem:
         self._antecedents = antecedents[order, :width]
         # a system may be shared (``build_system`` memoizes): freeze every array
         _freeze(vars(self).values())
-        self.rules = tuple(resolved)  # set last, as freezing need not walk it
+        self.rules = rules  # set last, as freezing need not walk it
 
     def evaluate(self, x: Union[Sequence[float], Mapping[str, float]]) -> float:
         """One decision: ``evaluate_batch`` on the one row ``x``, given by

@@ -7,8 +7,9 @@ skipped)::
     clause := NAME "IS" LABEL
 
 Names and labels match the bound variables case-insensitively, with spaces,
-hyphens, and underscores interchangeable. Antecedents are pure conjunctions;
-disjunction is not supported.
+hyphens, and underscores interchangeable, as ``engine.bind_rule`` binds them
+for ``FuzzySystem`` too. Antecedents are pure conjunctions; disjunction is
+not supported.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .catalog import standard_catalog
-from .engine import Rule
+from .engine import Rule, bind_rule, input_index
 from .membership import LinguisticVariable, normalize_label
 
 if TYPE_CHECKING:
@@ -115,56 +116,26 @@ def _bind_rules(
     inputs: Sequence[LinguisticVariable],
     output: LinguisticVariable,
 ) -> RuleBase:
-    """Binding pass: resolve every clause against the bound variables."""
-    inputs_by_key = {normalize_label(v.name): v for v in inputs}
-    output_key = normalize_label(output.name)
+    """Binding pass: ``bind_rule`` each line, and check what only text shows."""
+    index = input_index(inputs)
     rules: list[Rule] = []
     seen: dict[tuple[tuple[str, str], ...], int] = {}
     for line_no, clauses, (out_name, out_label) in lines:
-        antecedents: dict[str, str] = {}
-        for name, label in clauses:
-            var = inputs_by_key.get(normalize_label(name))
-            if var is None:
-                known = ", ".join(v.name for v in inputs)
-                raise RuleParseError(
-                    f"unknown input variable {name!r}; bound inputs: {known}", line_no
-                )
-            try:
-                term = var.term(label)
-            except KeyError:
-                raise RuleParseError(
-                    f"variable {var.name!r} has no label {label!r}; "
-                    f"valid labels: {', '.join(var.labels)}",
-                    line_no,
-                ) from None
-            if var.name in antecedents:
-                raise RuleParseError(
-                    f"variable {var.name!r} appears twice in one rule", line_no
-                )
-            antecedents[var.name] = term.label
-        if normalize_label(out_name) != output_key:
+        if out_name != output.name and normalize_label(out_name) != normalize_label(output.name):
             raise RuleParseError(
                 f"consequent must assign the output variable {output.name!r}, "
                 f"got {out_name!r}",
                 line_no,
             )
         try:
-            out_term = output.term(out_label)
-        except KeyError:
-            raise RuleParseError(
-                f"variable {output.name!r} has no label {out_label!r}; "
-                f"valid labels: {', '.join(output.labels)}",
-                line_no,
-            ) from None
-        key = tuple(sorted(antecedents.items()))
-        if key in seen:
-            raise RuleParseError(
-                f"duplicate antecedent set (first seen on line {seen[key]})", line_no
-            )
-        seen[key] = line_no
-        rules.append(Rule.of(antecedents, out_term.label))
-    order = tuple(v.name for v in inputs) + (output.name,)
-    return RuleBase(tuple(rules), variable_order=order)
+            rule = bind_rule(Rule(tuple(clauses), out_label), index, output)
+        except (KeyError, ValueError) as exc:
+            raise RuleParseError(exc.args[0], line_no) from None
+        first = seen.setdefault(tuple(sorted(rule.antecedents)), line_no)
+        if first != line_no:
+            raise RuleParseError(f"duplicate antecedent set (first seen on line {first})", line_no)
+        rules.append(rule)
+    return RuleBase(tuple(rules), tuple(v.name for v in inputs) + (output.name,))
 
 
 def parse_rules(

@@ -130,6 +130,11 @@ class TestBuildSystemMemo:
         with pytest.raises(ValueError, match=f"odd and >= 101, got {resolution}"):
             build_system(DecisionId.HANDOFF_STATUS, variant, resolution=resolution)
 
+    @pytest.mark.parametrize("resolution", [1001.0, 1003.0, "1001", True])
+    def test_a_resolution_that_is_not_an_integer_is_rejected(self, resolution):
+        with pytest.raises(ValueError, match=f"must be an integer, got {resolution!r}"):
+            build_system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI, resolution)
+
     def test_an_unknown_label_raises_on_every_call(self):
         for _ in range(3):
             with pytest.raises(ValueError, match="no label 'Maybe'"):
@@ -224,6 +229,24 @@ class TestRunSweep:
             SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=())
         with pytest.raises(ValueError, match="increasing"):
             SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 10.0))
+
+    def test_grid_is_kept_as_a_tuple_of_floats(self):
+        for grid in ([10, 60], np.array([10, 60]), range(10, 61, 50)):
+            spec = SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=grid)
+            assert spec.grid == (10.0, 60.0)
+            assert all(type(v) is float for v in spec.grid)
+            float_spec = SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 60.0))
+            assert run_sweep(spec).columns == run_sweep(float_spec).columns
+
+    @pytest.mark.parametrize(
+        "grid", ["abc", (10.0, None), (10.0, "60"), (10.0, float("nan")), (10.0, float("inf"))]
+    )
+    def test_a_grid_value_that_is_not_a_finite_number_is_rejected(self, grid):
+        # "abc" used to be accepted and fail in run_sweep with an IndexError
+        with pytest.raises(ValueError, match="sweep grid must hold finite numbers, got"):
+            SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=grid)
+        with pytest.raises(ValueError, match="sweep grid must hold finite numbers, got"):
+            surface_grid(DecisionId.HANDOFF_STATUS, "snr", "interference", grid=grid)
 
 
 class TestRunSweeps:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,7 @@ class TestSystemValidation:
 
     def test_rule_arity_capped_by_inputs(self):
         rule = Rule.of({"x": "Lo", "z": "Hi"}, "Mid")
-        with pytest.raises(ValueError, match="unknown input 'z'"):
+        with pytest.raises(ValueError, match="unknown input variable 'z'"):
             mamdani_system([rule])
 
     def test_unknown_labels_rejected(self):
@@ -235,6 +237,41 @@ class TestSystemValidation:
     def test_consequent_must_be_a_label_or_affine(self, consequent):
         with pytest.raises(ValueError, match="label or SugenoConsequent, got"):
             Rule.of({"x": "Lo"}, consequent)
+
+    @pytest.mark.parametrize("label", [5, None])
+    def test_antecedent_labels_must_be_strings(self, label):
+        # 5 used to fail later, in normalize_label; None was accepted
+        with pytest.raises(ValueError, match=r"antecedent must be a \(name, label\) pair"):
+            Rule.of({"x": label}, "Mid")
+
+    def test_sugeno_constant_must_be_a_number(self):
+        # "1" used to fail inside numpy's isfinite with a TypeError
+        with pytest.raises(ValueError, match="consequent constant must be a number, got '1'"):
+            SugenoConsequent("1")
+        with pytest.raises(ValueError, match=r"coefficient must be a \(name, number\) pair"):
+            SugenoConsequent(0.0, (("x", "1"),))
+
+    @pytest.mark.parametrize("resolution", [1001.0, 1003.0, "1001", True])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(ValueError, match=f"must be an integer, got {resolution!r}"):
+            check_resolution(resolution)
+        with pytest.raises(ValueError, match=f"must be an integer, got {resolution!r}"):
+            mamdani_system([Rule.of({"x": "Lo"}, "Mid")], resolution=resolution)
+
+    def test_names_are_matched_like_labels(self):
+        canonical = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])
+        spelled = mamdani_system([Rule.of({"X": "lo"}, "mid")])
+        assert spelled.rules == canonical.rules == (Rule.of({"x": "Lo"}, "Mid"),)
+        assert spelled.evaluate([25.0]) == canonical.evaluate([25.0])
+
+    def test_a_variable_named_twice_in_any_spelling_is_rejected(self):
+        with pytest.raises(ValueError, match="variable 'x' appears twice in one rule"):
+            mamdani_system([Rule.of({"x": "Lo", "X": "Hi"}, "Mid")])
+
+    def test_input_names_must_differ_as_keys(self):
+        inputs = [make_input(), dataclasses.replace(make_input(), name="X")]
+        with pytest.raises(ValueError, match="input variable names must be unique"):
+            FuzzySystem(inputs, make_output(), [Rule.of({"x": "Lo"}, "Mid")])
 
     def test_repeated_coefficient_rejected(self):
         # summing the two slopes would give 0.5 with no error

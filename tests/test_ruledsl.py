@@ -1,8 +1,13 @@
+import re
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzzycr.catalog import DecisionId
+from fuzzycr.analysis import VariantId, build_system
+from fuzzycr.catalog import DecisionId, standard_catalog
+from fuzzycr.engine import EmptyAggregateError, FuzzySystem, Rule
 from fuzzycr.ruledsl import (
     RuleParseError,
     builtin_rulebase,
@@ -219,3 +224,75 @@ def test_decision_id_parsing():
     assert DecisionId.parse("Handoff_Status") is DecisionId.HANDOFF_STATUS
     with pytest.raises(ValueError, match="bandwidth-allocation"):
         DecisionId.parse("nonsense")
+
+
+def respell(rng, text):
+    """``text`` as another writer might spell it: any case, and any of "",
+    "_", "-" or " " where words meet. Spaces fall only between words, so no
+    word can become an IS or AND keyword."""
+    words = re.sub(r"([a-z])([A-Z])", r"\1 \2", text).replace("_", " ").split()
+    out = []
+    for i, word in enumerate(words):
+        if i:
+            out.append(rng.choice(["", "_", "-", " "]))
+        for j, char in enumerate(word):
+            if j:
+                out.append(rng.choice(["", "", "_", "-"]))
+            out.append(rng.choice([char.lower(), char.upper()]))
+    return "".join(out)
+
+
+@pytest.mark.parametrize("decision", list(DecisionId), ids=lambda d: d.value)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_respelled_rules_bind_alike_in_the_parser_and_the_system(decision, data):
+    # bind_rule serves both: any spelling of some shipped rules gives those
+    # rules back, and a system that evaluates bit for bit as theirs
+    catalog = standard_catalog(data.draw(st.sampled_from(["triangular", "gaussian"])))
+    inputs, output = bound_variables(catalog, decision)
+    shipped = builtin_rulebase(decision).rules
+    chosen = sorted(data.draw(st.sets(st.sampled_from(range(len(shipped))), min_size=1,
+                                      max_size=8)))
+    rng = data.draw(st.randoms(use_true_random=False))
+    rules, lines = [], []
+    for rule in (shipped[i] for i in chosen):
+        pairs = [(respell(rng, name), respell(rng, label)) for name, label in rule.antecedents]
+        consequent = respell(rng, rule.consequent)
+        rules.append(Rule(tuple(pairs), consequent))
+        keyword = rng.choice(["IS", "is", "Is"])
+        clauses = " AND ".join(f"{name} {keyword} {label}" for name, label in pairs)
+        lines.append(f"if {clauses} THEN {respell(rng, output.name)} {keyword} {consequent}")
+    expected = tuple(shipped[i] for i in chosen)
+    system = FuzzySystem(inputs, output, rules)
+    assert system.rules == parse_rules("\n".join(lines), inputs, output).rules == expected
+    reference = FuzzySystem(inputs, output, expected)
+    rows = data.draw(st.lists(
+        st.lists(st.floats(0.0, 100.0), min_size=len(inputs), max_size=len(inputs)),
+        min_size=1, max_size=4,
+    ))
+    for row in rows:
+        assert outcome(system, row) == outcome(reference, row)
+
+
+def outcome(system, row):
+    """``system.evaluate(row)``, or the error it raises if no rule fires."""
+    try:
+        return system.evaluate(row)
+    except EmptyAggregateError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("decision", list(DecisionId), ids=lambda d: d.value)
+def test_a_respelled_rule_file_evaluates_as_the_shipped_system(tri_catalog, decision):
+    inputs, output = bound_variables(tri_catalog, decision)
+    text = serialize_rules(builtin_rulebase(decision))
+    spelled = parse_rules(text.upper().replace("_", " "), inputs, output)
+    assert spelled.rules == builtin_rulebase(decision).rules
+    system = FuzzySystem(inputs, output, [
+        Rule(tuple((name.upper(), label.lower()) for name, label in rule.antecedents),
+             rule.consequent.swapcase())
+        for rule in spelled.rules
+    ])
+    shipped = build_system(decision, VariantId.TRIANGULAR_MAMDANI)
+    x = np.random.default_rng(5).uniform(0.0, 100.0, (20, len(inputs)))
+    assert [system.evaluate(row) for row in x] == [shipped.evaluate(row) for row in x]
