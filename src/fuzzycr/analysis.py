@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -21,7 +20,7 @@ import numpy as np
 
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog, sugeno_levels
 from .engine import FuzzyError, FuzzySystem, Rule, SugenoConsequent, check_resolution
-from .membership import parse_named
+from .membership import is_finite_number, parse_named
 from .ruledsl import builtin_rulebase
 
 __all__ = [
@@ -30,6 +29,7 @@ __all__ = [
     "SweepResult",
     "DegenerateSeriesError",
     "build_system",
+    "check_inputs",
     "check_sugeno_consequents",
     "run_sweep",
     "run_sweeps",
@@ -95,14 +95,17 @@ def build_system(
 
     Systems are memoized for the life of the process, up to
     ``BUILD_CACHE_SIZE`` of them: equal arguments return the same shared
-    system, whatever the order of the mapping's keys or the sequence type of
-    its values, and whatever the resolution of a Sugeno variant. Callers must
-    not mutate it.
+    system, whatever the order of the mapping's keys, the spelling of its
+    labels or the sequence type of its values, and whatever the resolution
+    of a Sugeno variant. Callers must not mutate it.
     """
-    consequents = tuple(sorted(
-        (label, tuple(values)) for label, values in (sugeno_consequents or {}).items()
-    ))
+    check_inputs(decision, ())
+    if not isinstance(variant, VariantId):
+        raise ValueError(f"variant must be a VariantId, got {variant!r}")
     check_resolution(resolution)
+    consequents = tuple(sorted(
+        check_sugeno_consequents(decision, sugeno_consequents.items()).items()
+    )) if sugeno_consequents else ()
     if variant in _SUGENO_VARIANTS:
         resolution = 1001  # samples nothing: one shared system for any resolution
     return _build_system(decision, variant, resolution, consequents)
@@ -118,11 +121,10 @@ def _build_system(
     family = "triangular" if variant is VariantId.TRIANGULAR_MAMDANI else "gaussian"
     catalog = standard_catalog(family)
     output = catalog.decision_output(decision)
-    given = check_sugeno_consequents(decision, sugeno_consequents)
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
     if variant in _SUGENO_VARIANTS:
         consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
-        consequents.update(given if variant is VariantId.LINEAR_SUGENO else {})
+        consequents.update(sugeno_consequents if variant is VariantId.LINEAR_SUGENO else ())
         affine = {
             label: SugenoConsequent(constant, tuple(zip(DECISION_INPUTS[decision], slopes)))
             for label, (constant, *slopes) in consequents.items()
@@ -137,49 +139,50 @@ def check_sugeno_consequents(
     """Check ``(label, (constant, *slopes))`` pairs for one decision and key
     them by the output's own spelling of each label.
 
-    An unknown label, a label given twice, more numbers than a constant and
-    one slope per input, or a non-finite number is a ``ValueError``.
+    A label that is not a str or not the output's, a label given twice,
+    values that are not a tuple or list of finite numbers, or more numbers
+    than a constant and one slope per input is a ``ValueError``.
     """
     output = standard_catalog().decision_output(decision)
     n_inputs = len(DECISION_INPUTS[decision])
     checked = {}
     for label, values in consequents:
+        if not isinstance(label, str):
+            raise ValueError(f"consequent label must be a str, got {label!r}")
         try:
             label = output.term(label).label
         except KeyError as exc:
             raise ValueError(exc.args[0]) from None
         if label in checked:
             raise ValueError(f"consequent {label!r} is given twice")
+        if not isinstance(values, (tuple, list)) or not all(map(is_finite_number, values)):
+            raise ValueError(f"consequent {label!r} needs finite numbers, got {values!r}")
         if not 1 <= len(values) <= 1 + n_inputs:
             raise ValueError(
                 f"consequent {label!r} needs a constant and at most "
                 f"{n_inputs} slopes, got {len(values)} numbers"
             )
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"consequent {label!r} needs finite numbers, got {tuple(values)}")
         checked[label] = tuple(values)
     return checked
 
 
-def _check_grid(grid: Sequence[float], variants: Sequence[VariantId]) -> tuple[float, ...]:
-    """``grid`` as a tuple of floats. Reject an empty grid, a value that is
-    not a finite number, a grid not strictly increasing, or no variants."""
-    grid = tuple(grid)
-    if not grid:
-        raise ValueError("sweep grid must be nonempty")
-    for value in grid:
-        if not isinstance(value, numbers.Real) or not math.isfinite(value):
-            raise ValueError(f"sweep grid must hold finite numbers, got {value!r}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("sweep grid must be strictly increasing")
-    if not variants:
-        raise ValueError("sweep needs at least one variant")
-    return tuple(float(value) for value in grid)
+def check_inputs(decision: DecisionId, names: Sequence[str]) -> None:
+    """Reject a ``decision`` that is not a ``DecisionId``, or one of ``names``
+    that is not among its inputs, listing them."""
+    if not isinstance(decision, DecisionId):
+        raise ValueError(f"decision must be a DecisionId, got {decision!r}")
+    inputs = DECISION_INPUTS[decision]
+    for name in names:
+        if name not in inputs:
+            raise ValueError(
+                f"{name!r} is not an input of {decision.value}; inputs: {', '.join(inputs)}"
+            )
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-dimensional sweep: vary one input, pin the rest."""
+    """One-dimensional sweep: vary one input, pin the rest. ``surface_grid``
+    shares its checks. ``grid`` is kept as a tuple of floats."""
 
     decision: DecisionId
     varied: str
@@ -188,12 +191,20 @@ class SweepSpec:
     variants: tuple[VariantId, ...] = ALL_VARIANTS
 
     def __post_init__(self) -> None:
-        if self.varied not in DECISION_INPUTS[self.decision]:
-            raise ValueError(
-                f"{self.varied!r} is not an input of {self.decision.value}; "
-                f"inputs: {DECISION_INPUTS[self.decision]}"
-            )
-        object.__setattr__(self, "grid", _check_grid(self.grid, self.variants))
+        check_inputs(self.decision, [self.varied])
+        if not is_finite_number(self.fixed_value):
+            raise ValueError(f"fixed_value must be a finite number, got {self.fixed_value!r}")
+        grid = tuple(self.grid)
+        if not grid:
+            raise ValueError("sweep grid must be nonempty")
+        for value in grid:
+            if not is_finite_number(value):
+                raise ValueError(f"sweep grid must hold finite numbers, got {value!r}")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("sweep grid must be strictly increasing")
+        if not self.variants:
+            raise ValueError("sweep needs at least one variant")
+        object.__setattr__(self, "grid", tuple(float(value) for value in grid))
 
 
 @dataclass(frozen=True)
@@ -296,13 +307,11 @@ def surface_grid(
     values and ``j`` over ``input_b`` values, both in grid order.
     ``system_for(decision, variant)`` builds each variant's system.
     """
-    names = DECISION_INPUTS[decision]
+    # the fields a surface shares with a sweep get a sweep's checks
+    grid = SweepSpec(decision, input_a, fixed_value, grid, variants).grid
+    check_inputs(decision, [input_b])
     if input_a == input_b:
         raise ValueError("surface needs two distinct inputs")
-    for name in (input_a, input_b):
-        if name not in names:
-            raise ValueError(f"{name!r} is not an input of {decision.value}")
-    grid = _check_grid(grid, variants)
     grids = [({input_a: grid, input_b: grid}, fixed_value)]
     return _evaluate_grids(decision, grids, variants, system_for)[0]
 
@@ -392,18 +401,11 @@ def standard_sweep_results(
     return {key: result for (key, _, _), result in zip(STANDARD_SWEEPS, results)}
 
 
-def correlation_report(
-    sweeps: Mapping[str, SweepResult],
-    pairs=CORRELATION_PAIRS,
-) -> list[tuple[str, dict[str, float]]]:
-    """Per-sweep correlation between the variant pairs."""
-    report = []
-    for key, result in sweeps.items():
-        row = {}
-        for pair_name, left, right in pairs:
-            row[pair_name] = pearson(result.column(left), result.column(right))
-        report.append((key, row))
-    return report
+def correlation_report(sweeps: Mapping[str, SweepResult]) -> list[tuple[str, dict[str, float]]]:
+    """Per-sweep correlation between the ``CORRELATION_PAIRS``."""
+    return [(key, {name: pearson(result.column(left), result.column(right))
+                   for name, left, right in CORRELATION_PAIRS})
+            for key, result in sweeps.items()]
 
 
 # Expected qualitative behaviour of the generated sweeps: +1 for
@@ -422,16 +424,11 @@ MONOTONE_TRENDS: tuple[tuple[str, int], ...] = (
 TREND_TOLERANCE = 0.5
 
 
-def trend_violations(
-    values: Sequence[float], direction: int, tolerance: float = TREND_TOLERANCE
-) -> list[tuple[int, float]]:
-    """Steps moving against the expected direction by more than tolerance."""
-    bad = []
-    for i, (a, b) in enumerate(zip(values, values[1:])):
-        step = (b - a) * direction
-        if step < -tolerance:
-            bad.append((i, step))
-    return bad
+def trend_violations(values: Sequence[float], direction: int) -> list[tuple[int, float]]:
+    """Steps moving against the expected direction by more than
+    ``TREND_TOLERANCE``."""
+    steps = [(i, (b - a) * direction) for i, (a, b) in enumerate(zip(values, values[1:]))]
+    return [(i, step) for i, step in steps if step < -TREND_TOLERANCE]
 
 
 # --- golden regression data --------------------------------------------------

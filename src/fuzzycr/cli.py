@@ -30,6 +30,7 @@ from .analysis import (
     SweepSpec,
     VariantId,
     build_system,
+    check_inputs,
     check_sugeno_consequents,
     correlation_report,
     run_sweep,
@@ -220,10 +221,7 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
             raise CliError(f"--in expects name=value, got {item!r}")
         name, _, value = item.partition("=")
         name = name.strip()
-        if name not in names:
-            raise CliError(
-                f"{name!r} is not an input of {decision.value}; inputs: {', '.join(names)}"
-            )
+        check_inputs(decision, [name])
         if name in given:
             raise CliError(f"--in {name} is given twice")
         try:

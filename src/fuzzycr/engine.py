@@ -22,7 +22,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .membership import LinguisticVariable, MembershipFunction, Universe, normalize_label
+from .membership import (LinguisticVariable, MembershipFunction, Universe, is_finite_number,
+                         normalize_label)
 
 __all__ = [
     "EngineKind",
@@ -85,10 +86,9 @@ def check_resolution(resolution: int) -> int:
     return resolution
 
 
-def _is_pair(value, first: type, second: type) -> bool:
-    """Whether ``value`` is a 2-tuple of a ``first`` and a ``second``."""
-    return (isinstance(value, tuple) and len(value) == 2
-            and isinstance(value[0], first) and isinstance(value[1], second))
+def _is_named(value) -> bool:
+    """Whether ``value`` is a 2-tuple whose first item, a name, is a str."""
+    return isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], str)
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,13 @@ class SugenoConsequent:
     coefficients: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.constant, numbers.Real):
-            raise ValueError(f"consequent constant must be a number, got {self.constant!r}")
-        if not np.isfinite(self.constant):
-            raise ValueError("consequent constant must be finite")
+        if not is_finite_number(self.constant):
+            raise ValueError(f"Sugeno constant must be a finite number, got {self.constant!r}")
         for i, pair in enumerate(self.coefficients):
-            if not _is_pair(pair, str, numbers.Real):
-                raise ValueError(f"coefficient must be a (name, number) pair, got {pair!r}")
-            name, coeff = pair
-            if not np.isfinite(coeff):
-                raise ValueError(f"coefficient for {name!r} must be finite")
-            if name in dict(self.coefficients[:i]):
-                raise ValueError(f"consequent repeats a coefficient for {name!r}")
+            if not (_is_named(pair) and is_finite_number(pair[1])):
+                raise ValueError(f"coefficient must be a (name, finite number) pair, got {pair!r}")
+            if pair[0] in dict(self.coefficients[:i]):
+                raise ValueError(f"consequent repeats a coefficient for {pair[0]!r}")
 
 
 Consequent = Union[str, SugenoConsequent]
@@ -131,13 +126,15 @@ class Rule:
         if not self.antecedents:
             raise ValueError("rule needs at least one antecedent")
         for pair in self.antecedents:
-            if not _is_pair(pair, str, str):
+            if not (_is_named(pair) and isinstance(pair[1], str)):
                 raise ValueError(f"antecedent must be a (name, label) pair of str, got {pair!r}")
         names = [name for name, _ in self.antecedents]
         if len(set(names)) != len(names):
             raise ValueError(f"variable {max(names, key=names.count)!r} appears twice in one rule")
         if not isinstance(self.consequent, (str, SugenoConsequent)):
-            raise ValueError(f"rule needs a label or SugenoConsequent, got {self.consequent!r}")
+            raise ValueError(
+                f"rule consequent must be a label or SugenoConsequent, got {self.consequent!r}"
+            )
 
     @staticmethod
     def of(antecedents: Mapping[str, str], consequent: Consequent) -> "Rule":
@@ -153,25 +150,35 @@ def input_index(inputs: Sequence[LinguisticVariable]) -> dict[str, LinguisticVar
     return {**index, **{var.name: var for var in inputs}}
 
 
+def _bound_input(inputs: Mapping[str, LinguisticVariable], name: str) -> LinguisticVariable:
+    """The input ``name`` matches in ``inputs``, an ``input_index``."""
+    var = inputs.get(name) or inputs.get(normalize_label(name))
+    if var is None:
+        known = ", ".join(dict.fromkeys(v.name for v in inputs.values()))
+        raise ValueError(f"unknown input variable {name!r}; bound inputs: {known}")
+    return var
+
+
 def bind_rule(
     rule: Rule, inputs: Mapping[str, LinguisticVariable], output: LinguisticVariable
 ) -> Rule:
-    """``rule`` in its variables' own spelling. Names match in ``inputs``, an
+    """``rule`` in its variables' own spelling. Input names, in antecedents
+    and in a ``SugenoConsequent``'s coefficients, match in ``inputs``, an
     ``input_index``, as labels do in ``LinguisticVariable.term``: exact first,
     then by ``normalize_label``. An unknown name or a repeated variable is a
     ``ValueError``, an unknown label a ``KeyError``."""
     antecedents = []
     for name, label in rule.antecedents:
-        var = inputs.get(name) or inputs.get(normalize_label(name))
-        if var is None:
-            known = ", ".join(dict.fromkeys(v.name for v in inputs.values()))
-            raise ValueError(f"unknown input variable {name!r}; bound inputs: {known}")
+        var = _bound_input(inputs, name)
         antecedents.append((var.name, var.term(label).label))
     consequent = rule.consequent
     if isinstance(consequent, str):
         consequent = output.term(consequent).label
+    elif consequent.coefficients:
+        coefficients = tuple((_bound_input(inputs, n).name, c) for n, c in consequent.coefficients)
+        consequent = SugenoConsequent(consequent.constant, coefficients)
     bound = (tuple(antecedents), consequent)
-    # a rule already in its variables' spelling passed Rule's checks as it is
+    # a rule already in its variables' spelling passed the checks as it is
     return rule if bound == (rule.antecedents, rule.consequent) else Rule(*bound)
 
 
@@ -424,9 +431,7 @@ class FuzzySystem:
                 consequents.append(label_index[rule.consequent])
             else:
                 for name, coeff in rule.consequent.coefficients:
-                    if name not in column_of:
-                        raise ValueError(f"consequent references unknown input {name!r}")
-                    self._slopes[r, column_of[name]] += coeff
+                    self._slopes[r, column_of[name]] = coeff
                 consequents.append(rule.consequent.constant)
 
         order = np.arange(len(rules))

@@ -7,6 +7,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import TypeVar, Union
@@ -53,12 +54,17 @@ def parse_named(enum: type[NamedEnum], text: str, kind: str) -> NamedEnum:
     raise ValueError(f"unknown {kind} {text!r}; valid: {valid}")
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, neither NaN nor infinite."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def _require_finite(value) -> None:
-    """Reject a dataclass with a field that is NaN or infinite, naming it."""
+    """Reject a dataclass with a field that is not a finite number, naming it."""
     for f in fields(value):
         v = getattr(value, f.name)
-        if not math.isfinite(v):
-            raise ValueError(f"{type(value).__name__.lower()} needs a finite {f.name}, got {v}")
+        if not is_finite_number(v):
+            raise ValueError(f"{type(value).__name__.lower()} needs a finite {f.name}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ class Triangular(_Shape):
             raise ValueError(f"triangular needs a <= b <= c, got {self}")
         if self.a == self.c:
             raise ValueError(f"triangular is degenerate to a point: {self}")
-        if not math.isfinite(self.ramp_width):
+        if not is_finite_number(self.ramp_width):
             raise ValueError(f"triangular needs finite edge widths b - a and c - b, got {self}")
 
     @property

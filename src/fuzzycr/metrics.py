@@ -143,7 +143,8 @@ class RadioScenario:
 
     Only the quantities with closed-form definitions are derived here; the
     remaining crisp inputs are opinions about the environment and are set
-    directly on the 0..100 scale.
+    directly on the 0..100 scale. A field that is not a finite number, or a
+    scenario whose metrics cannot be computed, is rejected at construction.
     """
 
     desired_power: float = 1.0
@@ -166,20 +167,9 @@ class RadioScenario:
 
     def __post_init__(self) -> None:
         _require_finite(self)
-        nonneg = (
-            self.desired_power, self.interference_power, self.noise_power,
-            self.p_i, self.free_time, self.usage_time, self.arrivals,
-        )
-        if any(v < 0 for v in nonneg):
-            raise ValueError("powers, times, and counts must be >= 0")
-        if not 0 <= self.rho1 < 1:
-            raise ValueError("rho1 must be in [0, 1)")
-        if not 0 <= self.rho2 <= 1:
-            raise ValueError("rho2 must be in [0, 1]")
-        if not 0 <= self.blocking_prob <= 1:
-            raise ValueError("blocking probability must be in [0, 1]")
-        if self.avail_band <= 0:
-            raise ValueError("available band must be positive")
+        if self.rho2 > 1:  # the one range no formula checks
+            raise ValueError(f"rho2 must be in [0, 1], got {self.rho2}")
+        self.raw_metrics()
 
     def raw_metrics(self) -> dict[str, float]:
         return {

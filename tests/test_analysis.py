@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -102,6 +104,37 @@ class TestBuildSystem:
             )
 
 
+    @pytest.mark.parametrize("decision, variant, field", [
+        (DecisionId.HANDOFF_STATUS, "linear-sugeno", "variant"),
+        (DecisionId.HANDOFF_STATUS, None, "variant"),
+        ("handoff-status", VariantId.LINEAR_SUGENO, "decision"),
+    ])
+    def test_a_decision_or_variant_that_is_not_its_enum_is_rejected(
+        self, decision, variant, field
+    ):
+        # the string variant used to fall through to a Gaussian Mamdani system
+        # (66.96 at snr=80, interference=20), and the string decision raised
+        # a bare KeyError
+        with pytest.raises(ValueError, match=f"{field} must be a "):
+            build_system(decision, variant)
+        linear = build_system(DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO)
+        assert linear.evaluate({"snr": 80.0, "interference": 20.0}) == pytest.approx(99.73, abs=0.01)
+
+    @pytest.mark.parametrize("consequents", [{"On": ("1",)}, {"On": 5.0}, {"On": "15"}])
+    def test_consequent_values_that_are_not_numbers_are_rejected_by_label(self, consequents):
+        # ("1",) used to raise TypeError from math.isfinite, 5.0 a TypeError
+        # from tuple(), and "15" was read as the numbers ("1", "5")
+        for variant in (VariantId.LINEAR_SUGENO, VariantId.TRIANGULAR_MAMDANI):
+            with pytest.raises(ValueError, match="consequent 'On' needs finite numbers, got"):
+                build_system(DecisionId.HANDOFF_STATUS, variant, sugeno_consequents=consequents)
+
+    def test_a_consequent_label_that_is_not_a_str_is_rejected(self):
+        with pytest.raises(ValueError, match="consequent label must be a str, got 5"):
+            build_system(
+                DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO, sugeno_consequents={5: (1.0,)}
+            )
+
+
 class TestBuildSystemMemo:
     HANDOFF = (DecisionId.HANDOFF_STATUS, VariantId.LINEAR_SUGENO)
 
@@ -112,6 +145,10 @@ class TestBuildSystemMemo:
         shuffled = {"Off": [5.0], "On": [100.0, 0.1]}
         assert build_system(*self.HANDOFF, sugeno_consequents=ordered) is build_system(
             *self.HANDOFF, sugeno_consequents=shuffled
+        )
+        respelled = {"off": (5.0,), "ON": (100.0, 0.1)}
+        assert build_system(*self.HANDOFF, sugeno_consequents=ordered) is build_system(
+            *self.HANDOFF, sugeno_consequents=respelled
         )
 
     def test_different_arguments_return_different_systems(self):
@@ -229,6 +266,26 @@ class TestRunSweep:
             SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=())
         with pytest.raises(ValueError, match="increasing"):
             SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=(10.0, 10.0))
+
+    def test_sweeps_and_surfaces_list_the_inputs_in_one_message(self):
+        message = "'volume' is not an input of handoff-status; inputs: snr, interference"
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(DecisionId.HANDOFF_STATUS, "volume")
+        for pair in (("volume", "snr"), ("snr", "volume")):
+            with pytest.raises(ValueError, match=message):
+                surface_grid(DecisionId.HANDOFF_STATUS, *pair)
+
+    @pytest.mark.parametrize("fixed_value", ["abc", None, float("nan"), float("inf")])
+    def test_a_fixed_value_that_is_not_a_finite_number_is_rejected(self, fixed_value):
+        # "abc" used to fail in run_sweep on a format code, and NaN only when
+        # the first system was evaluated
+        message = f"fixed_value must be a finite number, got {fixed_value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec(DecisionId.HANDOFF_STATUS, "snr", fixed_value=fixed_value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            surface_grid(
+                DecisionId.HANDOFF_STATUS, "snr", "interference", fixed_value=fixed_value
+            )
 
     def test_grid_is_kept_as_a_tuple_of_floats(self):
         for grid in ([10, 60], np.array([10, 60]), range(10, 61, 50)):
@@ -441,12 +498,11 @@ class TestCorrelationReport:
         for _, row in report:
             assert row["constant_vs_linear_sugeno"] == 1.0
 
-    def test_single_pair_single_sweep(self, all_sweeps):
+    def test_single_sweep_reports_every_pair(self, all_sweeps):
         sweeps = {"signal_strength": all_sweeps["signal_strength"]}
-        pairs = (CORRELATION_PAIRS[0],)
-        report = correlation_report(sweeps, pairs)
-        assert len(report) == 1
-        assert set(report[0][1]) == {"gaussian_vs_triangular_mamdani"}
+        report = correlation_report(sweeps)
+        assert [key for key, _ in report] == ["signal_strength"]
+        assert list(report[0][1]) == [name for name, _, _ in CORRELATION_PAIRS]
 
     def test_mamdani_variants_track_each_other(self, all_sweeps):
         report = correlation_report(all_sweeps)
@@ -458,8 +514,8 @@ class TestTrendSuite:
     def test_violation_detection(self):
         assert trend_violations([1, 2, 3], +1) == []
         assert trend_violations([3, 2, 1], +1) == [(0, -1), (1, -1)]
-        assert trend_violations([3, 2.8, 3.2], -1, tolerance=0.5) == []
-        bad = trend_violations([1, 2, 1.4], +1, tolerance=0.5)
+        assert trend_violations([3, 2.8, 3.2], -1) == []
+        bad = trend_violations([1, 2, 1.4], +1)
         assert [i for i, _ in bad] == [1]
         assert bad[0][1] == pytest.approx(-0.6)
 

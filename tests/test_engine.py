@@ -16,6 +16,7 @@ from fuzzycr.engine import (
     defuzz_centroid,
     firing_strength,
 )
+from fuzzycr.catalog import DecisionId, standard_catalog
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
 
 U = Universe(0, 100)
@@ -246,9 +247,9 @@ class TestSystemValidation:
 
     def test_sugeno_constant_must_be_a_number(self):
         # "1" used to fail inside numpy's isfinite with a TypeError
-        with pytest.raises(ValueError, match="consequent constant must be a number, got '1'"):
+        with pytest.raises(ValueError, match="Sugeno constant must be a finite number, got '1'"):
             SugenoConsequent("1")
-        with pytest.raises(ValueError, match=r"coefficient must be a \(name, number\) pair"):
+        with pytest.raises(ValueError, match=r"coefficient must be a \(name, finite number\) pair"):
             SugenoConsequent(0.0, (("x", "1"),))
 
     @pytest.mark.parametrize("resolution", [1001.0, 1003.0, "1001", True])
@@ -263,6 +264,29 @@ class TestSystemValidation:
         spelled = mamdani_system([Rule.of({"X": "lo"}, "mid")])
         assert spelled.rules == canonical.rules == (Rule.of({"x": "Lo"}, "Mid"),)
         assert spelled.evaluate([25.0]) == canonical.evaluate([25.0])
+
+    def test_coefficient_names_are_matched_like_antecedent_names(self):
+        # the coefficient's "SNR" used to raise "consequent references
+        # unknown input 'SNR'" after its antecedent had bound
+        catalog = standard_catalog("gaussian")
+        decision = DecisionId.HANDOFF_STATUS
+        inputs, output = catalog.decision_inputs(decision), catalog.decision_output(decision)
+        spelled = FuzzySystem(
+            inputs, output, [Rule.of({"SNR": "low"}, SugenoConsequent(5.0, (("SNR", 1.0),)))]
+        )
+        bound = Rule.of({"snr": "Low"}, SugenoConsequent(5.0, (("snr", 1.0),)))
+        canonical = FuzzySystem(inputs, output, [bound])
+        assert spelled.rules == canonical.rules == (bound,)
+        assert canonical.rules[0] is bound
+        assert spelled.evaluate([20.0, 50.0]) == canonical.evaluate([20.0, 50.0]) == 25.0
+
+    def test_coefficient_names_are_bound_like_antecedent_names(self):
+        with pytest.raises(ValueError, match="unknown input variable 'z'; bound inputs: x"):
+            FuzzySystem([make_input()], make_output(),
+                        [Rule.of({"x": "Lo"}, SugenoConsequent(5.0, (("z", 1.0),)))])
+        with pytest.raises(ValueError, match="repeats a coefficient for 'x'"):
+            FuzzySystem([make_input()], make_output(),
+                        [Rule.of({"x": "Lo"}, SugenoConsequent(5.0, (("x", 1.0), ("X", 2.0))))])
 
     def test_a_variable_named_twice_in_any_spelling_is_rejected(self):
         with pytest.raises(ValueError, match="variable 'x' appears twice in one rule"):

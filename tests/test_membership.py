@@ -79,7 +79,8 @@ class TestShapes:
             bad()
 
 
-NON_FINITE = [math.nan, math.inf, -math.inf]
+# a str or None used to raise a bare "TypeError: must be real number, not str"
+NON_FINITE = [math.nan, math.inf, -math.inf, "5", None]
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=str)

@@ -184,7 +184,8 @@ class TestRadioScenario:
         assert wide["snr"] == pytest.approx(50.0)
         assert narrow["snr"] == pytest.approx(100.0)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    # "0.5" and None used to raise a bare "TypeError: must be real number, not str"
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None])
     @pytest.mark.parametrize("cls, field", [
         pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
         for cls in (RadioScenario, CalibrationRange) for f in dataclasses.fields(cls)
@@ -194,6 +195,20 @@ class TestRadioScenario:
         valid = {"raw_lo": 0.0, "raw_hi": 1.0} if cls is CalibrationRange else {}
         with pytest.raises(ValueError, match=f"needs a finite {field}, got"):
             cls(**{**valid, field: value})
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"desired_power": 0.0}, "desired power must be positive"),
+        ({"su_band": 2e7}, "secondary-user band must be within"),
+        ({"noise_variance": 0.0}, "powers must be positive"),
+        ({"free_time": 0.0, "usage_time": 0.0}, "must be positive"),
+        ({"bandwidth": 0.0}, "bandwidth must be positive"),
+        ({"lam1": 0.0, "lam2": 0.0}, "arrival rates must sum to a positive value"),
+        ({"rho2": 1.5}, r"rho2 must be in \[0, 1\], got 1.5"),
+    ])
+    def test_a_scenario_whose_metrics_cannot_be_computed_is_rejected(self, fields, message):
+        # all but rho2 used to be accepted here and fail in crisp_inputs
+        with pytest.raises(ValueError, match=message):
+            RadioScenario(**fields)
 
     def test_bad_calibration_rejected(self):
         with pytest.raises(ValueError):
