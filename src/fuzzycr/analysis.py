@@ -202,6 +202,9 @@ class SweepSpec:
                 raise ValueError(f"sweep grid must hold finite numbers, got {value!r}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("sweep grid must be strictly increasing")
+        if not (isinstance(self.variants, tuple)
+                and all(isinstance(variant, VariantId) for variant in self.variants)):
+            raise ValueError(f"variants must be a tuple of VariantId, got {self.variants!r}")
         if not self.variants:
             raise ValueError("sweep needs at least one variant")
         object.__setattr__(self, "grid", tuple(float(value) for value in grid))

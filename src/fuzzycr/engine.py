@@ -297,12 +297,15 @@ class _CentroidTables:
     exactly.
 
     Subsets with equal Q_S share one table: its nonzero Q_S values sorted,
-    with prefix sums of w q and w x q and suffix sums of w and w x. Table k
-    sits in the flat arrays as complex keys k + q i, which numpy orders by
-    real part and then by imaginary part, and ends in a sentinel key k + 2i.
-    So one ``np.searchsorted`` of k + c_S i finds, for every subset of every
-    row, the index j that splits its table at c_S, comparing c_S with each q
-    exactly.
+    then a sentinel slot, with prefix sums of w q and w x q and suffix sums of
+    w and w x. The index j that splits table k at c_S is start[k] plus the
+    count of its q below c_S. Every q is in ``q_levels``, the sorted distinct
+    nonzero q of all tables, so q < c holds exactly when q < q_levels[r],
+    with r = searchsorted(q_levels, c) the rank of c; ``split`` holds that j
+    for every table and rank, the last rank of a table giving its sentinel.
+    And since the rank is monotone, the rank of c_S is the least rank of its
+    labels' levels: each row searches its label levels once, not its subset
+    minimums, and every comparison is between floats, so j is exact.
     """
 
     def __init__(
@@ -322,21 +325,33 @@ class _CentroidTables:
         w = np.ones(resolution)
         w[[0, -1]] = 0.5
         wx = w * xs
-        self.keys = np.empty(starts[-1], dtype=complex)
-        self.below_wq = np.zeros(starts[-1])  # sum of w q before each key, in its table
-        self.below_wxq = np.zeros(starts[-1])  # sum of w x q before each key, in its table
-        self.above_w = np.zeros(starts[-1])  # sum of w from each key on, in its table
-        self.above_wx = np.zeros(starts[-1])  # sum of w x from each key on, in its table
+        self.below_wq = np.zeros(starts[-1])  # sum of w q before each entry, in its table
+        self.below_wxq = np.zeros(starts[-1])  # sum of w x q before each entry, in its table
+        self.above_w = np.zeros(starts[-1])  # sum of w from each entry on, in its table
+        self.above_wx = np.zeros(starts[-1])  # sum of w x from each entry on, in its table
+        # sorted with the repeats masked out. np.unique would import numpy.ma,
+        # and np.sort's default kind would page in about 0.25 MB of SIMD sort
+        # code that nothing else uses; the tables' stable argsort is resident.
+        q_levels = np.concatenate([np.empty(0), *(q[q > 0.0] for q in distinct)])
+        q_levels = q_levels[np.argsort(q_levels, kind="stable")]
+        keep = np.ones(len(q_levels), dtype=bool)
+        np.not_equal(q_levels[1:], q_levels[:-1], out=keep[1:])
+        self.q_levels = q_levels[keep]
+        # split[k * ranks + r] = start[k] + count of table k's q below
+        # q_levels[r]; the last rank, past every level, gives the sentinel
+        ranks = len(self.q_levels) + 1
+        bounds = np.append(self.q_levels, np.inf)
+        self.split = np.empty(len(distinct) * ranks, dtype=np.intp)
         for k, q in enumerate(distinct):
             order = np.flatnonzero(q)
             order = order[np.argsort(q[order], kind="stable")]
             qs = q[order]
             first, sentinel = starts[k], starts[k + 1] - 1
-            self.keys[first:sentinel + 1] = k + 1j * np.append(qs, 2.0)
             self.below_wq[first + 1:sentinel + 1] = np.cumsum(w[order] * qs)
             self.below_wxq[first + 1:sentinel + 1] = np.cumsum(wx[order] * qs)
             self.above_w[first:sentinel] = np.cumsum(w[order][::-1])[::-1]
             self.above_wx[first:sentinel] = np.cumsum(wx[order][::-1])[::-1]
+            self.split[k * ranks:(k + 1) * ranks] = first + np.searchsorted(qs, bounds)
         # one column per subset; there are none when every label is zero on
         # the universe, which leaves every aggregate empty
         width = max((len(members) for members, _ in subsets), default=1)
@@ -345,8 +360,16 @@ class _CentroidTables:
             dtype=np.intp,
         ).reshape(-1, width).T
         self.signs = np.array([1.0 if len(members) % 2 else -1.0 for members, _ in subsets])
-        self.table = np.array(table, dtype=float)  # the subset's table index k
+        self.rank_rows = np.array(table, dtype=np.intp) * ranks  # the subset's table in split
         _freeze(vars(self).values())
+
+    def split_at(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For clip levels (N x labels used), each subset's minimum level c_S
+        and the index j that splits its table at c_S, both N x S."""
+        c = np.minimum.reduce(levels[:, self.members], axis=1)
+        ranks = np.minimum.reduce(np.searchsorted(self.q_levels, levels)[:, self.members], axis=1)
+        # j in C order, as the centroid's products and their BLAS paths expect
+        return c, self.split[np.add(self.rank_rows, ranks, order="C")]
 
 
 @functools.lru_cache(maxsize=CENTROID_CACHE_SIZE)
@@ -528,8 +551,7 @@ class FuzzySystem:
         sum of the table's w q below c_S plus c_S times the sum of w from
         c_S on."""
         t = self._tables
-        c = np.minimum.reduce(levels[:, t.members], axis=1)
-        j = np.searchsorted(t.keys, t.table + 1j * c)
+        c, j = t.split_at(levels)
         below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
         peaks = levels.max(axis=1, initial=0.0)
         if peaks.min() < SMALL_LEVEL:

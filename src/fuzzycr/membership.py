@@ -173,6 +173,12 @@ class LinguisticTerm:
     label: str
     mf: MembershipFunction
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise ValueError(f"term label must be a str, got {self.label!r}")
+        if not isinstance(self.mf, _Shape):
+            raise ValueError(f"term mf must be a membership function, got {self.mf!r}")
+
 
 @dataclass(frozen=True)
 class LinguisticVariable:
@@ -190,6 +196,15 @@ class LinguisticVariable:
     )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"variable name must be a str, got {self.name!r}")
+        if not isinstance(self.universe, Universe):
+            raise ValueError(f"variable universe must be a Universe, got {self.universe!r}")
+        if not (isinstance(self.terms, tuple)
+                and all(isinstance(term, LinguisticTerm) for term in self.terms)):
+            raise ValueError(
+                f"variable terms must be a tuple of LinguisticTerm, got {self.terms!r}"
+            )
         if len(self.terms) < 2:
             raise ValueError(f"variable {self.name!r} needs at least 2 terms")
         index: dict[str, LinguisticTerm] = {}

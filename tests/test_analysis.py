@@ -287,6 +287,20 @@ class TestRunSweep:
                 DecisionId.HANDOFF_STATUS, "snr", "interference", fixed_value=fixed_value
             )
 
+    @pytest.mark.parametrize("variants", [
+        [VariantId.LINEAR_SUGENO],
+        "linear-sugeno",
+        (VariantId.LINEAR_SUGENO, "gaussian-mamdani"),
+    ])
+    def test_variants_that_are_not_a_tuple_of_variant_ids_are_rejected(self, variants):
+        # a list used to fail in run_sweeps as unhashable, and a string was
+        # iterated by character ("variant must be a VariantId, got 'l'")
+        message = f"variants must be a tuple of VariantId, got {variants!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sweep(SweepSpec(DecisionId.HANDOFF_STATUS, "snr", variants=variants))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            surface_grid(DecisionId.HANDOFF_STATUS, "snr", "interference", variants=variants)
+
     def test_grid_is_kept_as_a_tuple_of_floats(self):
         for grid in ([10, 60], np.array([10, 60]), range(10, 61, 50)):
             spec = SweepSpec(DecisionId.HANDOFF_STATUS, "snr", grid=grid)

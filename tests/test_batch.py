@@ -29,6 +29,7 @@ from fuzzycr.engine import (
     FuzzySystem,
     Rule,
     SugenoConsequent,
+    _label_subsets,
     aggregate_clipped,
     defuzz_centroid,
     firing_strength,
@@ -458,3 +459,62 @@ def test_centroids_equal_the_sampled_reference(name, levels):
             fs._centroids(np.array(rows))
         return
     assert np.abs(fs._centroids(np.array(rows)) - expected).max() <= PARITY
+
+
+def output_subsets(fs):
+    """The label subsets of the labels ``fs``'s rules use, each with Q_S."""
+    used = [t for t in fs.output.terms if any(r.consequent == t.label for r in fs.rules)]
+    xs = fs.output.universe.samples(fs.resolution)
+    return _label_subsets([t.mf.profile(xs) for t in used])
+
+
+def brute_force_splits(subsets, levels):
+    """Each subset's minimum clip level c_S and split index, counted: the
+    start of its table in the flat arrays, plus the number of nonzero Q_S
+    samples below c_S. Both N x S."""
+    starts = {}  # each distinct Q_S's first entry, tables in order of first use
+    end = 0
+    for _, q in subsets:
+        if q.tobytes() not in starts:
+            starts[q.tobytes()] = end
+            end += np.count_nonzero(q) + 1  # its nonzero q and a sentinel
+    c = np.empty((len(levels), len(subsets)))
+    j = np.empty((len(levels), len(subsets)), dtype=np.intp)
+    for s, (members, q) in enumerate(subsets):
+        c[:, s] = levels[:, list(members)].min(axis=1)
+        j[:, s] = [starts[q.tobytes()] + np.count_nonzero((q > 0.0) & (q < c_s))
+                   for c_s in c[:, s]]
+    return c, j
+
+
+def assert_real_key_splits(fs, seed):
+    # random clip levels, levels that are table entries, and the extremes
+    subsets = output_subsets(fs)
+    entries = np.concatenate([q[q > 0.0] for _, q in subsets])
+    shape = (8, len(fs._label_starts))
+    rng = np.random.default_rng(seed)
+    levels = np.vstack([
+        rng.uniform(0.0, 1.0, shape),
+        rng.choice(entries, shape),
+        np.where(rng.random(shape) < 0.5, rng.choice(entries, shape),
+                 rng.uniform(0.0, 1.0, shape)),
+        rng.choice([0.0, 5e-324, entries.min(), entries.max(), 1.0], shape),
+        np.array([0.0, 5e-324, entries.min(), entries.max(), 1.0])[:, None].repeat(shape[1], 1),
+    ])
+    c, j = fs._tables.split_at(levels)
+    expected_c, expected_j = brute_force_splits(subsets, levels)
+    assert np.array_equal(c, expected_c)
+    assert np.array_equal(j, expected_j)
+
+
+@pytest.mark.parametrize("name", MAMDANI_SYSTEMS)
+def test_the_real_key_split_is_the_brute_force_split(name):
+    assert_real_key_splits(MAMDANI_SYSTEMS[name](), seed=7)
+
+
+def test_the_real_key_split_holds_past_sixteen_bit_counts():
+    # at this resolution one table holds more than 2^16 - 1 entries, which
+    # a 16-bit split index could not reach
+    fs = build_system(DecisionId.CHANNEL_SELECTION, VariantId.GAUSSIAN_MAMDANI, 100001)
+    assert fs._tables.split.max() > np.iinfo(np.uint16).max
+    assert_real_key_splits(fs, seed=11)

@@ -15,11 +15,14 @@ from hypothesis import given, settings, strategies as st
 from fuzzycr.analysis import SweepSpec, VariantId, build_system, surface_grid
 from fuzzycr.catalog import DecisionId
 from fuzzycr.engine import Rule, SugenoConsequent, check_resolution
-from fuzzycr.membership import Gaussian, Triangular, Universe
+from fuzzycr.membership import Gaussian, LinguisticTerm, LinguisticVariable, Triangular, Universe
 from fuzzycr.metrics import CalibrationRange, RadioScenario
 
 HANDOFF = DecisionId.HANDOFF_STATUS
 LINEAR = VariantId.LINEAR_SUGENO
+U = Universe(0.0, 100.0)
+TERMS = (LinguisticTerm("Lo", Triangular(0.0, 0.0, 100.0)),
+         LinguisticTerm("Hi", Triangular(0.0, 100.0, 100.0)))
 
 # Values no field accepts where a str is expected: hashable, so that they can
 # also be mapping keys.
@@ -39,6 +42,12 @@ NOT_A_FINITE_NUMBER = st.one_of(
 # Neither a finite number nor a str.
 NEITHER = st.one_of(NOT_A_STR.filter(lambda v: not isinstance(v, (int, float))),
                     NOT_A_FINITE_NUMBER.filter(lambda v: not isinstance(v, str)))
+
+# Not a tuple of VariantId: the variants field of sweeps and surfaces.
+VARIANTS = st.one_of(
+    NOT_A_STR, NOT_A_FINITE_NUMBER,
+    st.sampled_from([[LINEAR], "linear-sugeno", (LINEAR, "linear-sugeno"), (None,)]),
+)
 
 
 def _fields(cls, valid=None):
@@ -70,12 +79,26 @@ CASES = [
      "antecedent must be a (name, label) pair", NOT_A_STR),
     ("Rule.of consequent", lambda v: Rule.of({"snr": "Low"}, v),
      "rule consequent must be a label or SugenoConsequent, got", NOT_A_STR),
+    ("LinguisticTerm.label", lambda v: LinguisticTerm(v, TERMS[0].mf),
+     "term label must be a str, got", NOT_A_STR),
+    ("LinguisticTerm.mf", lambda v: LinguisticTerm("Lo", v),
+     "term mf must be a membership function, got", st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER)),
+    ("LinguisticVariable.name", lambda v: LinguisticVariable(v, U, TERMS),
+     "variable name must be a str, got", NOT_A_STR),
+    ("LinguisticVariable.universe", lambda v: LinguisticVariable("x", v, TERMS),
+     "variable universe must be a Universe, got",
+     st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER, st.just((0, 100)))),
+    ("LinguisticVariable.terms", lambda v: LinguisticVariable("x", U, v),
+     "variable terms must be a tuple of LinguisticTerm, got",
+     st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER, st.just(list(TERMS)), st.just((*TERMS, "Mid")))),
     ("SweepSpec.decision", lambda v: SweepSpec(v, "snr"),
      "decision must be a DecisionId, got", st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER)),
     ("SweepSpec.varied", lambda v: SweepSpec(HANDOFF, v),
      "is not an input of handoff-status; inputs: snr, interference", NOT_A_STR),
     ("SweepSpec.fixed_value", lambda v: SweepSpec(HANDOFF, "snr", fixed_value=v),
      "fixed_value must be a finite number, got", NOT_A_FINITE_NUMBER),
+    ("SweepSpec.variants", lambda v: SweepSpec(HANDOFF, "snr", variants=v),
+     "variants must be a tuple of VariantId, got", VARIANTS),
     ("SweepSpec.grid", lambda v: SweepSpec(HANDOFF, "snr", grid=(10.0, v)),
      "sweep grid must hold finite numbers, got", NOT_A_FINITE_NUMBER),
     ("surface_grid.decision", lambda v: surface_grid(v, "snr", "interference"),
@@ -85,6 +108,8 @@ CASES = [
     ("surface_grid.fixed_value",
      lambda v: surface_grid(HANDOFF, "snr", "interference", fixed_value=v),
      "fixed_value must be a finite number, got", NOT_A_FINITE_NUMBER),
+    ("surface_grid.variants", lambda v: surface_grid(HANDOFF, "snr", "interference", variants=v),
+     "variants must be a tuple of VariantId, got", VARIANTS),
     ("surface_grid.grid", lambda v: surface_grid(HANDOFF, "snr", "interference", grid=(v,)),
      "sweep grid must hold finite numbers, got", NOT_A_FINITE_NUMBER),
     ("build_system.decision", lambda v: build_system(v, LINEAR),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,31 @@ class TestLinguisticVariable:
         )
         with pytest.raises(ValueError, match="duplicate"):
             LinguisticVariable("x", u, terms)
+
+    def test_a_term_label_that_is_not_a_str_is_rejected(self):
+        # used to raise AttributeError from normalize_label in the variable
+        with pytest.raises(ValueError, match="term label must be a str, got 5"):
+            LinguisticTerm(5, Triangular(0, 50, 100))
+
+    def test_a_term_mf_that_is_not_a_membership_function_is_rejected(self):
+        # used to raise AttributeError: 'str' object has no attribute 'profile'
+        with pytest.raises(ValueError, match="term mf must be a membership function, got 'tri'"):
+            LinguisticTerm("Lo", "tri")
+
+    def test_a_variable_name_that_is_not_a_str_is_rejected(self):
+        # used to build, and then raise AttributeError in engine.input_index
+        terms = (LinguisticTerm("Lo", Triangular(0, 0, 100)),
+                 LinguisticTerm("Hi", Triangular(0, 100, 100)))
+        with pytest.raises(ValueError, match="variable name must be a str, got 5"):
+            LinguisticVariable(5, Universe(0, 100), terms)
+
+    def test_a_universe_that_is_not_a_universe_is_rejected(self):
+        # used to raise AttributeError: 'tuple' object has no attribute 'samples'
+        terms = (LinguisticTerm("Lo", Triangular(0, 0, 100)),
+                 LinguisticTerm("Hi", Triangular(0, 100, 100)))
+        with pytest.raises(ValueError,
+                           match=re.escape("variable universe must be a Universe, got (0, 100)")):
+            LinguisticVariable("x", (0, 100), terms)
 
     def test_coverage_hole_rejected(self):
         u = Universe(0, 100)

@@ -9,6 +9,8 @@ temporary directory, and prints ``<sha256>  <output>`` lines for:
 - the four CSVs of the channel-selection ``fuzzycr surface``;
 - ``float.hex`` of ``evaluate_batch`` on 300 seeded random rows, inputs in
   -5..105, for each decision x variant pair;
+- ``float.hex`` of ``evaluate`` on each of the first 50 of those rows, one
+  row at a time, as a single decision is served;
 - ``repr(rules)`` of each of the 24 ``build_system`` systems.
 
 Run it in two checkouts and compare the two outputs, e.g. with ``diff``.
@@ -29,6 +31,7 @@ from fuzzycr import DecisionId, VariantId, build_system  # noqa: E402
 from fuzzycr.cli import main as cli_main  # noqa: E402
 
 ROWS = 300
+SCALAR_ROWS = 50
 SEED = 3
 SURFACE_ARGS = (
     "surface", "--decision", "channel-selection",
@@ -57,6 +60,8 @@ def main() -> int:
             rows = rng.uniform(-5.0, 105.0, (ROWS, len(system.input_names)))
             values = " ".join(float(v).hex() for v in system.evaluate_batch(rows))
             print(_line(values.encode(), f"evaluate_batch {pair}"))
+            values = " ".join(system.evaluate(row).hex() for row in rows[:SCALAR_ROWS])
+            print(_line(values.encode(), f"evaluate {pair}"))
             print(_line(repr(system.rules).encode(), f"rules {pair}"))
     return 0
 
