@@ -207,6 +207,9 @@ class SweepSpec:
             raise ValueError(f"variants must be a tuple of VariantId, got {self.variants!r}")
         if not self.variants:
             raise ValueError("sweep needs at least one variant")
+        for i, variant in enumerate(self.variants):
+            if variant in self.variants[:i]:
+                raise ValueError(f"variants repeats {variant.value!r}")
         object.__setattr__(self, "grid", tuple(float(value) for value in grid))
 
 

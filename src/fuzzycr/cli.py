@@ -398,6 +398,7 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
     return 0
 
 
+@functools.cache  # built on the first ``main`` call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fuzzycr",

@@ -3,7 +3,9 @@
 A :class:`FuzzySystem` takes its kind from its rules' consequents, binds
 them with :func:`bind_rule`, as the rule parser does, and compiles them at
 construction into read-only index arrays. :meth:`FuzzySystem.evaluate_batch`
-checks and clamps N rows and runs its private kernel on them;
+checks and clamps N rows and runs its private kernel on them, term-major:
+every working array holds one term, rule, label or label subset per row and
+one input row per column, so each gather copies whole rows.
 :meth:`FuzzySystem.evaluate` is the same call on one row. Both are pure and
 reentrant, so systems can be evaluated from many threads at once.
 
@@ -43,9 +45,9 @@ __all__ = [
 ]
 
 # Rows per chunk of FuzzySystem.evaluate_batch. Bounds the chunk's working
-# arrays, N x rules strengths and N x subsets x labels clip levels (64 x 125
-# and 64 x 31 x 5 doubles, under 0.1 MB each), for any batch size.
-BATCH_ROWS = 64
+# arrays, rules x N strengths and labels x subsets x N clip levels (125 x 128
+# and 5 x 31 x 128 doubles, about 0.13 MB and 0.16 MB), for any batch size.
+BATCH_ROWS = 128
 
 # Most label subsets a Mamdani output's centroid tables may hold: all subsets
 # of six labels that overlap everywhere, as Gaussians do.
@@ -364,12 +366,11 @@ class _CentroidTables:
         _freeze(vars(self).values())
 
     def split_at(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For clip levels (N x labels used), each subset's minimum level c_S
-        and the index j that splits its table at c_S, both N x S."""
-        c = np.minimum.reduce(levels[:, self.members], axis=1)
-        ranks = np.minimum.reduce(np.searchsorted(self.q_levels, levels)[:, self.members], axis=1)
-        # j in C order, as the centroid's products and their BLAS paths expect
-        return c, self.split[np.add(self.rank_rows, ranks, order="C")]
+        """For clip levels (labels used x N), each subset's minimum level c_S
+        and the index j that splits its table at c_S, both S x N."""
+        c = np.minimum.reduce(levels[self.members], axis=0)
+        ranks = np.minimum.reduce(np.searchsorted(self.q_levels, levels)[self.members], axis=0)
+        return c, self.split[self.rank_rows[:, None] + ranks]
 
 
 @functools.lru_cache(maxsize=CENTROID_CACHE_SIZE)
@@ -390,10 +391,12 @@ class FuzzySystem:
     variable; Sugeno systems read only its name and universe. ``rules`` keeps
     the caller's order, each rule as ``bind_rule`` returns it.
 
-    Terms of all inputs form one flat table of T terms, grouped by shape
-    class: each group holds its class's ``degrees`` formula, the degree
-    columns and input columns of its terms, and one parameter row per field
-    of the shape. Degrees fill an N x (T + 1) matrix whose last column is
+    The kernel is term-major: a chunk of N input rows enters as its n x N
+    transpose, and every working array has one term, rule, label or subset
+    per row. Terms of all inputs form one flat table of T terms, grouped by
+    shape class: each group holds its class's ``degrees`` formula, the degree
+    rows and input rows of its terms, and one k x 1 parameter column per
+    field of the shape. Degrees fill a (T + 1) x N matrix whose last row is
     the constant 1, so the R x k antecedent matrix pads short rules with
     index T. Mamdani rows of that matrix are sorted by consequent label, so
     one ``np.maximum.reduceat`` turns rule strengths into one clip level per
@@ -437,7 +440,7 @@ class FuzzySystem:
         self._n_terms = len(term_index)
         self._shapes = tuple(
             (shape.degrees, np.array(terms, dtype=np.intp), np.array(columns, dtype=np.intp),
-             tuple(np.array(row, dtype=float) for row in zip(*params)))
+             tuple(np.array(row, dtype=float)[:, None] for row in zip(*params)))
             for shape, (terms, columns, params) in groups.items()
         )
 
@@ -519,62 +522,65 @@ class FuzzySystem:
         x = np.minimum(np.maximum(x, self._lo), self._hi)
         out = np.empty(len(x))
         for start in range(0, len(x), BATCH_ROWS):
-            chunk = x[start:start + BATCH_ROWS]
+            chunk = np.ascontiguousarray(x[start:start + BATCH_ROWS].T)
             strengths = self._fire(self._fuzzify(chunk))
             if self.kind is EngineKind.MAMDANI:
-                levels = np.maximum.reduceat(strengths, self._label_starts, axis=1)
+                levels = np.maximum.reduceat(strengths, self._label_starts, axis=0)
                 out[start:start + BATCH_ROWS] = self._centroids(levels)
             else:
                 out[start:start + BATCH_ROWS] = self._weighted_averages(chunk, strengths)
         return out
 
     def _fuzzify(self, x: np.ndarray) -> np.ndarray:
-        """N x (T + 1) term degrees of clamped rows; the last column is 1."""
-        degrees = np.ones((len(x), self._n_terms + 1))
-        for formula, terms, columns, params in self._shapes:
-            degrees[:, terms] = formula(x[:, columns], *params)
+        """(T + 1) x N term degrees of clamped inputs, n x N; the last row is 1."""
+        degrees = np.ones((self._n_terms + 1, x.shape[1]))
+        for formula, terms, rows, params in self._shapes:
+            degrees[terms] = formula(x[rows], *params)
         return degrees
 
     def _fire(self, degrees: np.ndarray) -> np.ndarray:
-        """N x R rule strengths, conjoined in antecedent order."""
+        """R x N rule strengths, conjoined in antecedent order."""
         combine = np.minimum if self.kind is EngineKind.MAMDANI else np.multiply
-        strengths = degrees[:, self._antecedents[:, 0]]
+        strengths = degrees[self._antecedents[:, 0]]
         for j in range(1, self._antecedents.shape[1]):
-            combine(strengths, degrees[:, self._antecedents[:, j]], out=strengths)
+            combine(strengths, degrees[self._antecedents[:, j]], out=strengths)
         return strengths
 
     def _centroids(self, levels: np.ndarray) -> np.ndarray:
-        """Clip each used label at its level (N x labels used, in output
+        """Clip each used label at its level (labels used x N, in output
         order), max-aggregate, and take the end-weighted centroid of each
-        row, as ``defuzz_centroid`` does on the sampled curve, by lookups in
+        column, as ``defuzz_centroid`` does on the sampled curve, by lookups in
         ``_tables``: for each subset S, sum_k w_k min(c_S, Q_S(x_k)) is the
         sum of the table's w q below c_S plus c_S times the sum of w from
         c_S on."""
         t = self._tables
         c, j = t.split_at(levels)
         below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
-        peaks = levels.max(axis=1, initial=0.0)
+        peaks = levels.max(axis=0, initial=0.0)
         if peaks.min() < SMALL_LEVEL:
-            # Scale each row by the power of two that takes its highest level
+            # Scale each column by the power of two that takes its highest level
             # to about 1/2. That is exact and leaves the ratio as it is, but
             # keeps the products of subnormal levels from rounding to a few
             # units. The q below c_S sum to at most resolution x c_S, so
             # nothing overflows.
-            scale = _upscale(peaks)[:, None]
+            scale = _upscale(peaks)
             c, below_wq, below_wxq = c * scale, below_wq * scale, below_wxq * scale
         mass = below_wq + c * t.above_w[j]
         moment = below_wxq + c * t.above_wx[j]
-        totals = mass @ t.signs
+        totals = t.signs @ mass
         if not (totals > 0.0).all():
             raise EmptyAggregateError("empty aggregate")
-        return moment @ t.signs / totals
+        return t.signs @ moment / totals
 
     def _weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-        """Strength-weighted average of the affine consequents, clamped to the
-        output universe."""
-        values = self._constants + x @ self._slopes.T
-        totals = strengths.sum(axis=1)
+        """Strength-weighted average of the affine consequents at inputs
+        x (n x N), clamped to the output universe. All-zero slopes add
+        nothing, so they are skipped: c + 0.0 == c."""
+        values = self._constants[:, None]
+        if self._slopes.any():
+            values = values + self._slopes @ x
+        totals = strengths.sum(axis=0)
         if not (totals > 0.0).all():
             raise EmptyAggregateError("empty aggregate")
         lo, hi = self.output.universe.lo, self.output.universe.hi
-        return np.minimum(np.maximum((strengths * values).sum(axis=1) / totals, lo), hi)
+        return np.minimum(np.maximum((strengths * values).sum(axis=0) / totals, lo), hi)

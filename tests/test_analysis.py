@@ -452,6 +452,15 @@ class TestSurface:
                 DecisionId.HANDOFF_STATUS, "snr", "interference", grid=grid, variants=variants
             )
 
+    def test_a_repeated_variant_is_rejected_and_named(self):
+        # it used to be evaluated twice: a sweep returned one column for it
+        # and the sweep CSV repeated it
+        variants = (VariantId.LINEAR_SUGENO, VariantId.GAUSSIAN_MAMDANI, VariantId.LINEAR_SUGENO)
+        with pytest.raises(ValueError, match="variants repeats 'linear-sugeno'"):
+            run_sweep(SweepSpec(DecisionId.HANDOFF_STATUS, "snr", variants=variants))
+        with pytest.raises(ValueError, match="variants repeats 'linear-sugeno'"):
+            surface_grid(DecisionId.HANDOFF_STATUS, "snr", "interference", variants=variants)
+
 
 class TestPearson:
     def test_identity(self):

@@ -124,9 +124,26 @@ def test_batch_equals_scalar_across_chunks(decision, variant):
 
 # A row's output may depend on the batch around it in the last bits: the
 # matrix products in the centroid and weighted-average steps pick their BLAS
-# kernel by shape, and row sums run over a column-ordered gather. Outputs are
-# byte-stable for a given call, and within this bound across batchings.
+# kernel by shape, and the sums over rules run over the leading axis, whose
+# order of additions depends on the chunk's width. Outputs are byte-stable
+# for a given call, and within this bound across batchings.
 BATCH_COMPOSITION = 1e-12
+
+
+@pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
+def test_batches_at_chunk_edges_match_one_row_and_the_reference(decision, variant):
+    # a one-row chunk, a chunk one row short, a full chunk, and one and two
+    # full chunks with one row over
+    rng = np.random.default_rng(11)
+    fs = build_system(decision, variant)
+    x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 1, len(fs.inputs)))
+    x[::3] = np.round(x[::3] / 5.0) * 5.0
+    alone = np.array([fs.evaluate(list(row)) for row in x])
+    expected = reference(fs, x)
+    for n in (1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1, 2 * BATCH_ROWS + 1):
+        batch = fs.evaluate_batch(x[:n])
+        assert np.abs(batch - alone[:n]).max() <= BATCH_COMPOSITION
+        assert np.abs(batch - expected[:n]).max() <= PARITY
 
 
 @pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
@@ -288,6 +305,23 @@ def mixed_system(kind, inputs=MIXED_INPUTS["triangles-first"]):
     return FuzzySystem(inputs, Y_VAR, rules)
 
 
+def test_zero_slopes_read_as_the_constant_consequent():
+    # the kernel adds no slope term when every slope is zero; with one it
+    # still matches the reference
+    fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
+
+    def with_coefficients(*coefficients):
+        rules = [Rule(rule.antecedents, SugenoConsequent(rule.consequent.constant, coefficients))
+                 for rule in fs.rules]
+        return FuzzySystem(fs.inputs, fs.output, rules)
+
+    x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
+    constant = with_coefficients().evaluate_batch(x)
+    assert with_coefficients(("snr", 0.0)).evaluate_batch(x).tolist() == constant.tolist()
+    assert_parity(with_coefficients(("snr", 0.25)), x)
+    assert_parity(with_coefficients(("snr", 0.0), ("interference", -0.5)), x)
+
+
 @pytest.mark.parametrize("inputs", MIXED_INPUTS.values(), ids=list(MIXED_INPUTS))
 @pytest.mark.parametrize("kind", EngineKind)
 def test_mixed_shapes_and_rule_lengths_match_scalar(kind, inputs):
@@ -368,23 +402,23 @@ def test_rule_labels_are_matched_like_variable_labels(kind):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_raising_a_term_degree_never_lowers_a_clip_level_or_strength(decision, variant, data):
-    # a fuzzified N x (T + 1) degree matrix, whose last column is the constant
+    # a fuzzified (T + 1) x N degree matrix, whose last row is the constant
     # 1 that pads short rules, and the same matrix with one term raised
     fs = build_system(decision, variant)
     n = data.draw(st.integers(1, 4))
-    degrees = np.ones((n, fs._n_terms + 1))
-    degrees[:, :-1] = data.draw(st.lists(
+    degrees = np.ones((fs._n_terms + 1, n))
+    degrees[:-1] = np.transpose(data.draw(st.lists(
         st.lists(st.floats(0.0, 1.0), min_size=fs._n_terms, max_size=fs._n_terms),
         min_size=n, max_size=n,
-    ))
+    )))
     raised = degrees.copy()
-    column = data.draw(st.integers(0, fs._n_terms - 1))
-    raised[:, column] = [data.draw(st.floats(d, 1.0)) for d in degrees[:, column]]
+    term = data.draw(st.integers(0, fs._n_terms - 1))
+    raised[term] = [data.draw(st.floats(d, 1.0)) for d in degrees[term]]
     before, after = fs._fire(degrees), fs._fire(raised)
     if fs.kind is EngineKind.MAMDANI:
         # clip levels: the strongest rule of each consequent label
-        before = np.maximum.reduceat(before, fs._label_starts, axis=1)
-        after = np.maximum.reduceat(after, fs._label_starts, axis=1)
+        before = np.maximum.reduceat(before, fs._label_starts, axis=0)
+        after = np.maximum.reduceat(after, fs._label_starts, axis=0)
     assert (after >= before).all()
 
 
@@ -439,8 +473,9 @@ level = st.one_of(
 @example(levels=[[5e-324] + [0.0] * 6, [5e-324, 1e-320] + [0.0] * 5])
 @example(levels=[[0.0] * 7])
 def test_centroids_equal_the_sampled_reference(name, levels):
-    # the kernel's centroids of clip levels, one column per label that a rule
-    # uses, against clipping, max-aggregating and the centroid of the curve
+    # the kernel's centroids of clip levels, one row per label that a rule
+    # uses and one column per case, against clipping, max-aggregating and
+    # the centroid of the curve
     fs = MAMDANI_SYSTEMS[name]()
     used = [t for t in fs.output.terms if any(r.consequent == t.label for r in fs.rules)]
     xs = fs.output.universe.samples(fs.resolution)
@@ -456,9 +491,9 @@ def test_centroids_equal_the_sampled_reference(name, levels):
         ]
     except EmptyAggregateError:
         with pytest.raises(EmptyAggregateError, match="empty aggregate"):
-            fs._centroids(np.array(rows))
+            fs._centroids(np.array(rows).T)
         return
-    assert np.abs(fs._centroids(np.array(rows)) - expected).max() <= PARITY
+    assert np.abs(fs._centroids(np.array(rows).T) - expected).max() <= PARITY
 
 
 def output_subsets(fs):
@@ -501,10 +536,11 @@ def assert_real_key_splits(fs, seed):
         rng.choice([0.0, 5e-324, entries.min(), entries.max(), 1.0], shape),
         np.array([0.0, 5e-324, entries.min(), entries.max(), 1.0])[:, None].repeat(shape[1], 1),
     ])
-    c, j = fs._tables.split_at(levels)
+    # the kernel takes labels x N levels and gives S x N splits
+    c, j = fs._tables.split_at(levels.T)
     expected_c, expected_j = brute_force_splits(subsets, levels)
-    assert np.array_equal(c, expected_c)
-    assert np.array_equal(j, expected_j)
+    assert np.array_equal(c, expected_c.T)
+    assert np.array_equal(j, expected_j.T)
 
 
 @pytest.mark.parametrize("name", MAMDANI_SYSTEMS)

@@ -9,6 +9,7 @@ from fuzzycr.cli import (
     MAX_GRID_POINTS,
     CliError,
     _write_csv,
+    build_parser,
     load_config,
     main,
 )
@@ -357,6 +358,15 @@ BAD_INPUTS = {
         "argument --step: invalid float value: 'abc'"),
     "eval-no-decision": (lambda tmp: ["eval"],
                          "the following arguments are required: --decision"),
+    "sweep-repeated-variant": (
+        lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                     "--variants", "linear-sugeno,linear-sugeno", "--out", str(tmp / "s.csv")],
+        "error: variants repeats 'linear-sugeno'"),
+    "surface-repeated-variant": (
+        lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                     "--vary-b", "interference", "--variants", "linear-sugeno,linear-sugeno",
+                     "--out-dir", str(tmp / "out")],
+        "error: variants repeats 'linear-sugeno'"),
 }
 
 
@@ -369,6 +379,32 @@ def test_every_subcommand_fails_on_one_line(command, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
     assert "Traceback" not in out + err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]  # nothing written
+
+
+def test_the_parser_built_once_answers_as_fresh_ones(tmp_path, capsys):
+    # main reuses one parser; a failed parse must leave nothing in it
+    calls = [
+        ["eval", "--decision", "handoff-status", "--bogus", "1"],
+        ["tables", "--out-dir", str(tmp_path)],
+        ["eval", "--decision", "handoff-status", "--in", "snr=70"],
+    ]
+
+    def run_all(fresh):
+        if not fresh:
+            build_parser()  # built before the calls, so all three reuse it
+        results = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            results.append(run_cli(*argv, capsys=capsys))
+        return results
+
+    reused = run_all(fresh=False)
+    assert [code for code, _, _ in reused] == [1, 0, 0]
+    assert "unrecognized arguments: --bogus 1" in reused[0][2]
+    assert run_all(fresh=True) == reused
+    assert build_parser() is build_parser()
 
 
 class TestCheckRules:
