@@ -474,6 +474,7 @@ class FuzzySystem:
                 raise ValueError(f"output {output.name!r} {error}") from None
         else:
             self._constants = np.array(consequents)
+            self._affine = bool(self._slopes.any())
         width = int((antecedents < self._n_terms).any(axis=0).sum())  # the longest rule's
         self._antecedents = antecedents[order, :width]
         # a system may be shared (``build_system`` memoizes): freeze every array
@@ -574,10 +575,11 @@ class FuzzySystem:
 
     def _weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
         """Strength-weighted average of the affine consequents at inputs
-        x (n x N), clamped to the output universe. All-zero slopes add
-        nothing, so they are skipped: c + 0.0 == c."""
+        x (n x N), clamped to the output universe. All-zero slopes, as in
+        every standard Sugeno system, add exactly zero (c + 0.0 == c), so
+        their matrix product, a BLAS call per chunk, is skipped."""
         values = self._constants[:, None]
-        if self._slopes.any():
+        if self._affine:
             values = values + self._slopes @ x
         totals = strengths.sum(axis=0)
         if not (totals > 0.0).all():

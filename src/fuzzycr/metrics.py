@@ -8,7 +8,6 @@ is fed to the inference engines directly as a 0..100 value.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 from .membership import _require_finite
@@ -137,10 +136,6 @@ DEFAULT_CALIBRATION: dict[str, CalibrationRange] = {
     "access_latency": CalibrationRange(0.0, 10.0),
 }
 
-# The derived metrics, in the order ``RadioScenario`` computes them.
-_METRIC_NAMES = ("snr", "interference", "susceptibility", "spectrum_utilisation_efficiency",
-                 "distance_to_primary_user", "access_latency")
-
 
 @dataclass(frozen=True)
 class RadioScenario:
@@ -150,7 +145,6 @@ class RadioScenario:
     remaining crisp inputs are opinions about the environment and are set
     directly on the 0..100 scale. A field that is not a finite number, or a
     scenario whose metrics cannot be computed, is rejected at construction.
-    The metrics computed there are kept, outside the dataclass fields.
     """
 
     desired_power: float = 1.0
@@ -175,20 +169,25 @@ class RadioScenario:
         _require_finite(self)
         if self.rho2 > 1:  # the one range no formula checks
             raise ValueError(f"rho2 must be in [0, 1], got {self.rho2}")
-        # packed doubles in _METRIC_NAMES order: a dict would hold about
-        # 420 bytes per scenario, and callers may keep thousands
-        object.__setattr__(self, "_metrics", array("d", (
-            sinr_db(self.desired_power, self.interference_power, self.noise_power),
-            interference_temperature(self.p_i, self.bandwidth),
-            susceptibility_pct(self.free_time, self.usage_time, self.arrivals),
-            spectrum_utilisation_efficiency(self.su_band, self.avail_band),
-            snr_distance_proxy(self.primary_tx_power, self.noise_variance),
-            access_latency(self.rho1, self.rho2, self.blocking_prob, self.lam1, self.lam2),
-        )))
+        self.raw_metrics()
 
     def raw_metrics(self) -> dict[str, float]:
-        """The derived metrics, computed at construction, in a new dict."""
-        return dict(zip(_METRIC_NAMES, self._metrics))
+        return {
+            "snr": sinr_db(self.desired_power, self.interference_power, self.noise_power),
+            "interference": interference_temperature(self.p_i, self.bandwidth),
+            "susceptibility": susceptibility_pct(
+                self.free_time, self.usage_time, self.arrivals
+            ),
+            "spectrum_utilisation_efficiency": spectrum_utilisation_efficiency(
+                self.su_band, self.avail_band
+            ),
+            "distance_to_primary_user": snr_distance_proxy(
+                self.primary_tx_power, self.noise_variance
+            ),
+            "access_latency": access_latency(
+                self.rho1, self.rho2, self.blocking_prob, self.lam1, self.lam2
+            ),
+        }
 
     def crisp_inputs(
         self, calibration: dict[str, CalibrationRange] | None = None
@@ -199,5 +198,5 @@ class RadioScenario:
             cal.update(calibration)
         return {
             name: normalize(value, cal[name])
-            for name, value in zip(_METRIC_NAMES, self._metrics)
+            for name, value in self.raw_metrics().items()
         }

@@ -98,11 +98,14 @@ def reference(fs, x):
 
 
 def assert_parity(fs, x):
-    """Both kernel entry points equal the reference within ``PARITY``."""
+    """Both kernel entry points equal the reference within ``PARITY``;
+    returns the batch and the one-row outputs."""
     expected = reference(fs, x)
-    assert np.abs(fs.evaluate_batch(x) - expected).max() <= PARITY
+    batch = fs.evaluate_batch(x)
+    assert np.abs(batch - expected).max() <= PARITY
     scalar = np.array([fs.evaluate(list(row)) for row in x])
     assert np.abs(scalar - expected).max() <= PARITY
+    return batch, scalar
 
 
 @settings(max_examples=150, deadline=None)
@@ -110,16 +113,6 @@ def assert_parity(fs, x):
 def test_batch_equals_scalar(case):
     decision, variant, x = case
     assert_parity(build_system(decision, variant), x)
-
-
-@pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
-def test_batch_equals_scalar_across_chunks(decision, variant):
-    # more rows than one chunk, and a row count that leaves a partial chunk
-    rng = np.random.default_rng(7)
-    fs = build_system(decision, variant)
-    x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 5, len(fs.inputs)))
-    x[::3] = np.round(x[::3] / 5.0) * 5.0
-    assert_parity(fs, x)
 
 
 # A row's output may depend on the batch around it in the last bits: the
@@ -130,20 +123,17 @@ def test_batch_equals_scalar_across_chunks(decision, variant):
 BATCH_COMPOSITION = 1e-12
 
 
+# a one-row chunk, a chunk one row short, a full chunk, and one and two full
+# chunks with one row over
+@pytest.mark.parametrize("rows", [1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1, 2 * BATCH_ROWS + 1])
 @pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
-def test_batches_at_chunk_edges_match_one_row_and_the_reference(decision, variant):
-    # a one-row chunk, a chunk one row short, a full chunk, and one and two
-    # full chunks with one row over
-    rng = np.random.default_rng(11)
+def test_batch_equals_scalar_across_chunks(decision, variant, rows):
+    rng = np.random.default_rng(7)
     fs = build_system(decision, variant)
-    x = rng.uniform(-20.0, 120.0, (2 * BATCH_ROWS + 1, len(fs.inputs)))
+    x = rng.uniform(-20.0, 120.0, (rows, len(fs.inputs)))
     x[::3] = np.round(x[::3] / 5.0) * 5.0
-    alone = np.array([fs.evaluate(list(row)) for row in x])
-    expected = reference(fs, x)
-    for n in (1, BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1, 2 * BATCH_ROWS + 1):
-        batch = fs.evaluate_batch(x[:n])
-        assert np.abs(batch - alone[:n]).max() <= BATCH_COMPOSITION
-        assert np.abs(batch - expected[:n]).max() <= PARITY
+    batch, alone = assert_parity(fs, x)
+    assert np.abs(batch - alone).max() <= BATCH_COMPOSITION
 
 
 @pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
@@ -303,23 +293,6 @@ def mixed_system(kind, inputs=MIXED_INPUTS["triangles-first"]):
         Rule.of({"m": "Low"}, consequents[3]),
     ]
     return FuzzySystem(inputs, Y_VAR, rules)
-
-
-def test_zero_slopes_read_as_the_constant_consequent():
-    # the kernel adds no slope term when every slope is zero; with one it
-    # still matches the reference
-    fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
-
-    def with_coefficients(*coefficients):
-        rules = [Rule(rule.antecedents, SugenoConsequent(rule.consequent.constant, coefficients))
-                 for rule in fs.rules]
-        return FuzzySystem(fs.inputs, fs.output, rules)
-
-    x = np.array([[a, b] for a in range(-10, 111, 5) for b in range(-10, 111, 5)], dtype=float)
-    constant = with_coefficients().evaluate_batch(x)
-    assert with_coefficients(("snr", 0.0)).evaluate_batch(x).tolist() == constant.tolist()
-    assert_parity(with_coefficients(("snr", 0.25)), x)
-    assert_parity(with_coefficients(("snr", 0.0), ("interference", -0.5)), x)
 
 
 @pytest.mark.parametrize("inputs", MIXED_INPUTS.values(), ids=list(MIXED_INPUTS))

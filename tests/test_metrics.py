@@ -211,8 +211,8 @@ class TestRadioScenario:
             RadioScenario(**fields)
 
     def test_the_metrics_handed_out_are_a_copy(self):
-        # they are computed once, at construction; a caller's edit of the
-        # returned dict reaches neither a later call nor the crisp inputs
+        # a caller's edit of the returned dict reaches neither a later call
+        # nor the crisp inputs
         scenario = RadioScenario(desired_power=100.0)
         metrics, crisp = scenario.raw_metrics(), scenario.crisp_inputs()
         returned = scenario.raw_metrics()
@@ -220,8 +220,6 @@ class TestRadioScenario:
         del returned["interference"]
         assert scenario.raw_metrics() == metrics
         assert scenario.crisp_inputs() == crisp
-        assert scenario == RadioScenario(desired_power=100.0)
-        assert "metrics" not in repr(scenario)
 
     def test_bad_calibration_rejected(self):
         with pytest.raises(ValueError):
