@@ -19,7 +19,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog, sugeno_levels
-from .engine import FuzzyError, FuzzySystem, Rule, SugenoConsequent, check_resolution
+from .engine import (EmptyAggregateError, FuzzyError, FuzzySystem, Rule, SugenoConsequent,
+                     check_resolution)
 from .membership import is_finite_number, parse_named
 from .ruledsl import builtin_rulebase
 
@@ -96,8 +97,9 @@ def build_system(
     Systems are memoized for the life of the process, up to
     ``BUILD_CACHE_SIZE`` of them: equal arguments return the same shared
     system, whatever the order of the mapping's keys, the spelling of its
-    labels or the sequence type of its values, and whatever the resolution
-    of a Sugeno variant. Callers must not mutate it.
+    labels or the sequence type of its values, whatever the resolution of a
+    Sugeno variant, and whatever the mapping of any variant but
+    ``linear-sugeno``. Callers must not mutate it.
     """
     check_inputs(decision, ())
     if not isinstance(variant, VariantId):
@@ -106,6 +108,8 @@ def build_system(
     consequents = tuple(sorted(
         check_sugeno_consequents(decision, sugeno_consequents.items()).items()
     )) if sugeno_consequents else ()
+    if variant is not VariantId.LINEAR_SUGENO:
+        consequents = ()  # read by no other variant: one shared system for any mapping
     if variant in _SUGENO_VARIANTS:
         resolution = 1001  # samples nothing: one shared system for any resolution
     return _build_system(decision, variant, resolution, consequents)
@@ -124,7 +128,7 @@ def _build_system(
     rules: Sequence[Rule] = builtin_rulebase(decision).rules
     if variant in _SUGENO_VARIANTS:
         consequents = {label: (level,) for label, level in sugeno_levels(decision).items()}
-        consequents.update(sugeno_consequents if variant is VariantId.LINEAR_SUGENO else ())
+        consequents.update(sugeno_consequents)
         affine = {
             label: SugenoConsequent(constant, tuple(zip(DECISION_INPUTS[decision], slopes)))
             for label, (constant, *slopes) in consequents.items()
@@ -237,8 +241,9 @@ def _evaluate_grids(
     """Each variant's outputs over each ``(axes, fixed)`` grid, shaped by its
     axes: the C-order Cartesian product of the values ``axes`` maps inputs
     to, with every other input at ``fixed``. All grids are stacked, so each
-    variant's system is evaluated in one batch. A failure names the variant
-    and the first failing point by the axes of its grid."""
+    variant's system is evaluated once, in one batch. An empty aggregate
+    names the variant and the batch's first failing point by the axes of its
+    grid."""
     names = DECISION_INPUTS[decision]
     shapes = [tuple(len(values) for values in axes.values()) for axes, _ in grids]
     blocks, bounds = [], [0]
@@ -256,17 +261,10 @@ def _evaluate_grids(
         order = [names.index(name) for name in system.input_names]
         try:
             outputs = system.evaluate_batch(x[:, order])
-        except Exception:
-            for (axes, _), block in zip(grids, blocks):
-                for row in block:
-                    try:
-                        system.evaluate_batch(row[None, order])
-                    except Exception as exc:
-                        point = ", ".join(f"{name}={row[names.index(name)]:g}" for name in axes)
-                        raise FuzzyError(
-                            f"{decision.value}/{variant.value} failed at {point}: {exc}"
-                        ) from exc
-            raise
+        except EmptyAggregateError as exc:
+            axes = grids[np.searchsorted(bounds, exc.row, side="right") - 1][0]
+            point = ", ".join(f"{name}={x[exc.row, names.index(name)]:g}" for name in axes)
+            raise FuzzyError(f"{decision.value}/{variant.value} failed at {point}: {exc}") from exc
         for result, start, stop, shape in zip(out, bounds, bounds[1:], shapes):
             result[variant] = outputs[start:stop].reshape(shape)
     return out

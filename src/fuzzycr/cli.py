@@ -139,7 +139,7 @@ def load_config(path: Path) -> CliConfig:
             elif decision is None:
                 _apply_scalar(config, key.lower(), value)
             else:
-                numbers = tuple(float(p) for p in value.split(","))
+                numbers = tuple(_parse_number(p, key) for p in value.split(","))
                 given = config.sugeno_coefficients.get(decision, {})
                 config.sugeno_coefficients[decision] = check_sugeno_consequents(
                     decision, [*given.items(), (key, numbers)]
@@ -460,7 +460,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = load_config(Path(args.config)) if args.config else CliConfig()
         return args.func(args, config)
-    except (CliError, FuzzyError, RuleParseError, ValueError, OSError) as exc:
+    except (CliError, FuzzyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

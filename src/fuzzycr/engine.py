@@ -66,7 +66,12 @@ class FuzzyError(Exception):
 
 
 class EmptyAggregateError(FuzzyError):
-    """No rule fired with positive strength, or the curve is identically zero."""
+    """No rule fired with positive strength, or the curve is identically zero,
+    first at index ``row`` of the batch; one row is row 0."""
+
+    def __init__(self, row: int = 0) -> None:
+        super().__init__("empty aggregate")
+        self.row = row
 
 
 class EngineKind(Enum):
@@ -224,7 +229,7 @@ def aggregate_clipped(
             continue
         np.maximum(combined, np.minimum(level, term_profiles[label]), out=combined)
     if combined.max() <= 0.0:
-        raise EmptyAggregateError("empty aggregate")
+        raise EmptyAggregateError()
     return AggregateCurve(xs, combined)
 
 
@@ -248,7 +253,7 @@ def defuzz_centroid(curve: AggregateCurve) -> float:
     weighted[[0, -1]] *= 0.5
     total = float(weighted.sum())
     if total <= 0.0:
-        raise EmptyAggregateError("empty aggregate")
+        raise EmptyAggregateError()
     return float(np.dot(curve.xs, weighted) / total)
 
 
@@ -500,9 +505,9 @@ class FuzzySystem:
 
         Inputs are clamped to their universes, a NaN or an entry that is not
         a number (``None`` converts to NaN) raises a ``ValueError`` naming its
-        input, Sugeno outputs are clamped to the output universe,
-        and a row whose aggregate is empty raises ``EmptyAggregateError``.
-        Rows are evaluated ``BATCH_ROWS`` at a time.
+        input, Sugeno outputs are clamped to the output universe, and an
+        empty aggregate raises ``EmptyAggregateError`` naming the first row
+        that has one. Rows are evaluated ``BATCH_ROWS`` at a time.
         """
         rows, x = x, np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != len(self.inputs):
@@ -527,9 +532,14 @@ class FuzzySystem:
             strengths = self._fire(self._fuzzify(chunk))
             if self.kind is EngineKind.MAMDANI:
                 levels = np.maximum.reduceat(strengths, self._label_starts, axis=0)
-                out[start:start + BATCH_ROWS] = self._centroids(levels)
+                weighted, totals = self._centroids(levels)
             else:
-                out[start:start + BATCH_ROWS] = self._weighted_averages(chunk, strengths)
+                weighted, totals = self._weighted_averages(chunk, strengths)
+            if not (totals > 0.0).all():
+                raise EmptyAggregateError(start + int(np.argmin(totals > 0.0)))
+            out[start:start + BATCH_ROWS] = weighted / totals
+        if self.kind is EngineKind.SUGENO:
+            np.minimum(np.maximum(out, self.output.universe.lo), self.output.universe.hi, out=out)
         return out
 
     def _fuzzify(self, x: np.ndarray) -> np.ndarray:
@@ -547,13 +557,13 @@ class FuzzySystem:
             combine(strengths, degrees[self._antecedents[:, j]], out=strengths)
         return strengths
 
-    def _centroids(self, levels: np.ndarray) -> np.ndarray:
+    def _centroids(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Clip each used label at its level (labels used x N, in output
-        order), max-aggregate, and take the end-weighted centroid of each
-        column, as ``defuzz_centroid`` does on the sampled curve, by lookups in
-        ``_tables``: for each subset S, sum_k w_k min(c_S, Q_S(x_k)) is the
-        sum of the table's w q below c_S plus c_S times the sum of w from
-        c_S on."""
+        order), max-aggregate, and give each column's moment and mass, whose
+        ratio is the end-weighted centroid ``defuzz_centroid`` takes of the
+        sampled curve, by lookups in ``_tables``: for each subset S,
+        sum_k w_k min(c_S, Q_S(x_k)) is the sum of the table's w q below c_S
+        plus c_S times the sum of w from c_S on."""
         t = self._tables
         c, j = t.split_at(levels)
         below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
@@ -566,23 +576,16 @@ class FuzzySystem:
             # nothing overflows.
             scale = _upscale(peaks)
             c, below_wq, below_wxq = c * scale, below_wq * scale, below_wxq * scale
-        mass = below_wq + c * t.above_w[j]
-        moment = below_wxq + c * t.above_wx[j]
-        totals = t.signs @ mass
-        if not (totals > 0.0).all():
-            raise EmptyAggregateError("empty aggregate")
-        return t.signs @ moment / totals
+        return t.signs @ (below_wxq + c * t.above_wx[j]), t.signs @ (below_wq + c * t.above_w[j])
 
-    def _weighted_averages(self, x: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-        """Strength-weighted average of the affine consequents at inputs
-        x (n x N), clamped to the output universe. All-zero slopes, as in
-        every standard Sugeno system, add exactly zero (c + 0.0 == c), so
-        their matrix product, a BLAS call per chunk, is skipped."""
+    def _weighted_averages(
+        self, x: np.ndarray, strengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The strength-weighted sum of the affine consequents at inputs
+        x (n x N), and the sum of strengths. All-zero slopes, as in every
+        standard Sugeno system, add exactly zero (c + 0.0 == c), so their
+        matrix product, a BLAS call per chunk, is skipped."""
         values = self._constants[:, None]
         if self._affine:
             values = values + self._slopes @ x
-        totals = strengths.sum(axis=0)
-        if not (totals > 0.0).all():
-            raise EmptyAggregateError("empty aggregate")
-        lo, hi = self.output.universe.lo, self.output.universe.hi
-        return np.minimum(np.maximum((strengths * values).sum(axis=0) / totals, lo), hi)
+        return (strengths * values).sum(axis=0), strengths.sum(axis=0)

@@ -37,12 +37,10 @@ __all__ = [
 
 
 class RuleParseError(ValueError):
-    """Parse failure, carrying the offending line number where known."""
+    """Parse failure, carrying the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int) -> None:
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 

@@ -23,6 +23,7 @@ from fuzzycr.analysis import (
     trend_violations,
 )
 from fuzzycr.engine import (
+    BATCH_ROWS,
     EmptyAggregateError,
     EngineKind,
     FuzzyError,
@@ -160,6 +161,20 @@ class TestBuildSystemMemo:
         tilted = build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.1)})
         assert tilted is not plain
         assert tilted is not build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.2)})
+        # the constant variant keeps its own system, which criterion 08 compares
+        constant = (DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
+        assert build_system(*constant) is not plain
+
+    @pytest.mark.parametrize("variant", [v for v in VariantId if v is not VariantId.LINEAR_SUGENO],
+                             ids=lambda v: v.value)
+    def test_a_variant_that_ignores_the_consequents_is_not_keyed_on_them(self, variant):
+        plain = build_system(DecisionId.HANDOFF_STATUS, variant)
+        assert build_system(
+            DecisionId.HANDOFF_STATUS, variant, sugeno_consequents={"On": (5.0,)}
+        ) is plain
+        # they are still checked
+        with pytest.raises(ValueError, match="no label 'Maybe'"):
+            build_system(DecisionId.HANDOFF_STATUS, variant, sugeno_consequents={"Maybe": (1.0,)})
 
     @pytest.mark.parametrize("variant", list(VariantId), ids=lambda v: v.value)
     @pytest.mark.parametrize("resolution", [99, 1000])
@@ -362,8 +377,9 @@ class TestRunSweeps:
         evaluate_batch = FuzzySystem.evaluate_batch
 
         def fail_at_70(self, x):
-            if (np.asarray(x) == 70.0).any():
-                raise EmptyAggregateError("empty aggregate")
+            at_70 = (np.asarray(x) == 70.0).any(axis=1)
+            if at_70.any():
+                raise EmptyAggregateError(row=int(np.argmax(at_70)))
             return evaluate_batch(self, x)
 
         monkeypatch.setattr(FuzzySystem, "evaluate_batch", fail_at_70)
@@ -376,6 +392,72 @@ class TestRunSweeps:
         assert str(info.value) == (
             "handoff-status/gaussian-mamdani failed at interference=70: empty aggregate"
         )
+
+
+HANDOFF = DecisionId.HANDOFF_STATUS
+
+
+def holey_system_for(decision, variant):
+    """``variant``'s system on the triangular inputs, with every rule on
+    ``snr is VeryHigh`` left out: no rule fires at snr=100, and only there."""
+    inputs = build_system(decision, VariantId.TRIANGULAR_MAMDANI).inputs
+    full = build_system(decision, variant)
+    rules = [rule for rule in full.rules if ("snr", "VeryHigh") not in rule.antecedents]
+    return FuzzySystem(inputs, full.output, rules, full.resolution)
+
+
+class TestAFailingGrid:
+    HOLEY = [VariantId.TRIANGULAR_MAMDANI, VariantId.CONSTANT_SUGENO]
+
+    @pytest.mark.parametrize("variant", HOLEY, ids=lambda v: v.value)
+    def test_the_batch_names_its_first_empty_row_past_the_first_chunk(self, variant):
+        with pytest.raises(FuzzyError) as info:
+            surface_grid(HANDOFF, "snr", "interference", variants=(variant,),
+                         system_for=holey_system_for)
+        assert str(info.value) == (
+            f"handoff-status/{variant.value} failed at snr=100, interference=0: empty aggregate"
+        )
+        grid = analysis.SURFACE_GRID
+        first = (len(grid) - 1) * len(grid)  # snr runs over the rows: the last block
+        assert first > BATCH_ROWS
+        assert info.value.__cause__.row == first
+        with pytest.raises(EmptyAggregateError) as direct:
+            holey_system_for(HANDOFF, variant).evaluate_batch([[a, b] for a in grid for b in grid])
+        assert direct.value.row == first
+
+    def test_each_variant_is_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate_batch = FuzzySystem.evaluate_batch
+
+        def counted(self, x):
+            calls.append(len(x))
+            return evaluate_batch(self, x)
+
+        monkeypatch.setattr(FuzzySystem, "evaluate_batch", counted)
+
+        def system_for(decision, variant):
+            holey = variant is VariantId.TRIANGULAR_MAMDANI
+            return (holey_system_for if holey else build_system)(decision, variant)
+
+        variants = (VariantId.GAUSSIAN_MAMDANI, VariantId.LINEAR_SUGENO,
+                    VariantId.TRIANGULAR_MAMDANI, VariantId.CONSTANT_SUGENO)
+        with pytest.raises(FuzzyError, match="triangular-mamdani failed at snr=100"):
+            surface_grid(HANDOFF, "snr", "interference", variants=variants,
+                         system_for=system_for)
+        assert calls == [len(analysis.SURFACE_GRID) ** 2] * 3
+
+    def test_other_errors_pass_through_after_one_call(self, monkeypatch):
+        calls = []
+
+        def broken(self, x):
+            calls.append(len(x))
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr(FuzzySystem, "evaluate_batch", broken)
+        with pytest.raises(RuntimeError) as info:
+            surface_grid(HANDOFF, "snr", "interference")
+        assert type(info.value) is RuntimeError and str(info.value) == "broken"
+        assert calls == [len(analysis.SURFACE_GRID) ** 2]
 
 
 class TestSurface:

@@ -77,7 +77,7 @@ class TestEval:
 
     def test_inference_failure_is_one_line(self, capsys, monkeypatch):
         def fail(self, x):
-            raise EmptyAggregateError("empty aggregate")
+            raise EmptyAggregateError(row=0)
 
         monkeypatch.setattr(FuzzySystem, "evaluate", fail)
         code, _, err = run_cli("eval", "--decision", "handoff-status", capsys=capsys)
@@ -140,7 +140,7 @@ class TestSweepAndSurface:
     @staticmethod
     def fail_batches(monkeypatch):
         def fail(self, x):
-            raise EmptyAggregateError("empty aggregate")
+            raise EmptyAggregateError(row=0)
 
         monkeypatch.setattr(FuzzySystem, "evaluate_batch", fail)
 
@@ -569,8 +569,10 @@ class TestConfigFile:
         assert str(info.value) == f"{path}:2: {message}"
 
     @pytest.mark.parametrize("lines,message", [
-        (["On = nan, 1"], "consequent 'On' needs finite numbers, got (nan, 1.0)"),
-        (["Off = 0, -inf"], "consequent 'Off' needs finite numbers, got (0.0, -inf)"),
+        (["On = nan, 1"], "On must be finite, got nan"),
+        (["Off = 0, -inf"], "Off must be finite, got -inf"),
+        (["On = abc, 1"], "On: 'abc' is not a number"),
+        (["Off = 5", "on = 1, x"], "on: 'x' is not a number"),
         (["Nope = 1"], "variable 'handoff_status' has no label 'Nope'; valid labels: Off, On"),
         (["On = 1, 2, 3, 4"], "consequent 'On' needs a constant and at most 2 slopes, got 4 numbers"),
         (["Off = 5", "on = 1", "o n = 2"], "consequent 'On' is given twice"),
