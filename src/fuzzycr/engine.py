@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import functools
 import numbers
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -304,15 +305,18 @@ class _CentroidTables:
     exactly.
 
     Subsets with equal Q_S share one table: its nonzero Q_S values sorted,
-    then a sentinel slot, with prefix sums of w q and w x q and suffix sums of
-    w and w x. The index j that splits table k at c_S is start[k] plus the
-    count of its q below c_S. Every q is in ``q_levels``, the sorted distinct
-    nonzero q of all tables, so q < c holds exactly when q < q_levels[r],
-    with r = searchsorted(q_levels, c) the rank of c; ``split`` holds that j
-    for every table and rank, the last rank of a table giving its sentinel.
-    And since the rank is monotone, the rank of c_S is the least rank of its
-    labels' levels: each row searches its label levels once, not its subset
-    minimums, and every comparison is between floats, so j is exact.
+    then a sentinel slot, with prefix sums of w x q and w q in ``below`` and
+    suffix sums of w x and w in ``above``. The tables lie end to end in those
+    two 2 x E arrays, a moment row over a mass row, so one gather at j reads
+    a table's moment and mass terms together. The index j that splits table
+    k at c_S is start[k] plus the count of its q below c_S. Every q is in
+    ``q_levels``, the sorted distinct nonzero q of all tables, so q < c holds
+    exactly when q < q_levels[r], with r = searchsorted(q_levels, c) the rank
+    of c; ``split`` holds that j for every table and rank, the last rank of a
+    table giving its sentinel. And since the rank is monotone, the rank of
+    c_S is the least rank of its labels' levels: each row searches its label
+    levels once, not its subset minimums, and every comparison is between
+    floats, so j is exact.
     """
 
     def __init__(
@@ -332,10 +336,12 @@ class _CentroidTables:
         w = np.ones(resolution)
         w[[0, -1]] = 0.5
         wx = w * xs
-        self.below_wq = np.zeros(starts[-1])  # sum of w q before each entry, in its table
-        self.below_wxq = np.zeros(starts[-1])  # sum of w x q before each entry, in its table
-        self.above_w = np.zeros(starts[-1])  # sum of w from each entry on, in its table
-        self.above_wx = np.zeros(starts[-1])  # sum of w x from each entry on, in its table
+        # a moment row over a mass row: sums of w x q and w q before each
+        # entry, and of w x and w from each entry on, in its table
+        self.below = np.zeros((2, starts[-1]))
+        self.above = np.zeros((2, starts[-1]))
+        below_wxq, below_wq = self.below
+        above_wx, above_w = self.above
         # sorted with the repeats masked out. np.unique would import numpy.ma,
         # and np.sort's default kind would page in about 0.25 MB of SIMD sort
         # code that nothing else uses; the tables' stable argsort is resident.
@@ -354,10 +360,10 @@ class _CentroidTables:
             order = order[np.argsort(q[order], kind="stable")]
             qs = q[order]
             first, sentinel = starts[k], starts[k + 1] - 1
-            self.below_wq[first + 1:sentinel + 1] = np.cumsum(w[order] * qs)
-            self.below_wxq[first + 1:sentinel + 1] = np.cumsum(wx[order] * qs)
-            self.above_w[first:sentinel] = np.cumsum(w[order][::-1])[::-1]
-            self.above_wx[first:sentinel] = np.cumsum(wx[order][::-1])[::-1]
+            below_wq[first + 1:sentinel + 1] = np.cumsum(w[order] * qs)
+            below_wxq[first + 1:sentinel + 1] = np.cumsum(wx[order] * qs)
+            above_w[first:sentinel] = np.cumsum(w[order][::-1])[::-1]
+            above_wx[first:sentinel] = np.cumsum(wx[order][::-1])[::-1]
             self.split[k * ranks:(k + 1) * ranks] = first + np.searchsorted(qs, bounds)
         # one column per subset; there are none when every label is zero on
         # the universe, which leaves every aggregate empty
@@ -365,17 +371,17 @@ class _CentroidTables:
         self.members = np.array(  # width x S; a short subset repeats a label
             [members + members[:1] * (width - len(members)) for members, _ in subsets],
             dtype=np.intp,
-        ).reshape(-1, width).T
+        ).reshape(-1, width).T.copy()
         self.signs = np.array([1.0 if len(members) % 2 else -1.0 for members, _ in subsets])
-        self.rank_rows = np.array(table, dtype=np.intp) * ranks  # the subset's table in split
+        self.rank_rows = np.array(table, dtype=np.intp)[:, None] * ranks  # S x 1: table in split
         _freeze(vars(self).values())
 
     def split_at(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """For clip levels (labels used x N), each subset's minimum level c_S
         and the index j that splits its table at c_S, both S x N."""
-        c = np.minimum.reduce(levels[self.members], axis=0)
-        ranks = np.minimum.reduce(np.searchsorted(self.q_levels, levels)[self.members], axis=0)
-        return c, self.split[self.rank_rows[:, None] + ranks]
+        c = np.minimum.reduce(levels.take(self.members, axis=0), axis=0)
+        ranks = self.q_levels.searchsorted(levels).take(self.members, axis=0)
+        return c, self.split[self.rank_rows + np.minimum.reduce(ranks, axis=0)]
 
 
 @functools.lru_cache(maxsize=CENTROID_CACHE_SIZE)
@@ -398,16 +404,16 @@ class FuzzySystem:
 
     The kernel is term-major: a chunk of N input rows enters as its n x N
     transpose, and every working array has one term, rule, label or subset
-    per row. Terms of all inputs form one flat table of T terms, grouped by
-    shape class: each group holds its class's ``degrees`` formula, the degree
-    rows and input rows of its terms, and one k x 1 parameter column per
-    field of the shape. Degrees fill a (T + 1) x N matrix whose last row is
-    the constant 1, so the R x k antecedent matrix pads short rules with
-    index T. Mamdani rows of that matrix are sorted by consequent label, so
-    one ``np.maximum.reduceat`` turns rule strengths into one clip level per
-    label used, and the output's shared :class:`_CentroidTables` turn those
-    into centroids; Sugeno rows keep the rule order, with constants and an
-    R x n slope matrix.
+    per row. Terms of all inputs form one flat table of T terms, numbered
+    group by group by shape class: each group holds its class's ``degrees``
+    formula, the input rows of its terms, and one parameter column per field
+    of the shape. Degrees fill a (T + 1) x N matrix, the groups in order and
+    then a row of constant 1, so the k x R antecedent matrix, one row per
+    antecedent position, pads short rules with index T. Its Mamdani columns
+    are sorted by consequent label, so one ``np.maximum.reduceat`` turns rule
+    strengths into one clip level per label used, and the output's shared
+    :class:`_CentroidTables` turn those into centroids; Sugeno columns keep
+    the rule order, with R x 1 constants and an R x n slope matrix.
     """
 
     def __init__(
@@ -421,6 +427,7 @@ class FuzzySystem:
         self.output = output
         self.resolution = check_resolution(resolution)
         self.input_names = tuple(v.name for v in self.inputs)
+        self._names = frozenset(self.input_names)
         index = input_index(self.inputs)
         column_of = {name: column for column, name in enumerate(self.input_names)}
         if not rules:
@@ -432,30 +439,31 @@ class FuzzySystem:
         rules = tuple(bind_rule(rule, index, output) for rule in rules)
 
         groups: dict[type, tuple[list, list, list]] = {}
-        term_index = {}
         for column, var in enumerate(self.inputs):
             for term in var.terms:
-                terms, columns, params = groups.setdefault(type(term.mf), ([], [], []))
-                terms.append(len(term_index))
+                keys, columns, params = groups.setdefault(type(term.mf), ([], [], []))
+                keys.append((var.name, term.label))
                 columns.append(column)
                 params.append(term.mf.params)
-                term_index[var.name, term.label] = terms[-1]
+        # numbered group by group, so each group's degrees are consecutive rows
+        term_index = {key: t for t, key in enumerate(key for g in groups.values() for key in g[0])}
         self._lo = np.array([v.universe.lo for v in self.inputs])
         self._hi = np.array([v.universe.hi for v in self.inputs])
         self._n_terms = len(term_index)
         self._shapes = tuple(
-            (shape.degrees, np.array(terms, dtype=np.intp), np.array(columns, dtype=np.intp),
+            (shape.degrees, np.array(columns, dtype=np.intp),
              tuple(np.array(row, dtype=float)[:, None] for row in zip(*params)))
-            for shape, (terms, columns, params) in groups.items()
+            for shape, (_, columns, params) in groups.items()
         )
+        self._ones = np.ones((1, BATCH_ROWS))
 
         if mamdani:
             label_index = {label: i for i, label in enumerate(output.labels)}
         else:
             self._slopes = np.zeros((len(rules), len(self.inputs)))
         consequents = []  # per rule, a label index (Mamdani) or a constant (Sugeno)
-        # a rule names each input at most once, so it has at most n antecedents
-        antecedents = np.full((len(rules), len(self.inputs)), self._n_terms, dtype=np.intp)
+        width = max(len(rule.antecedents) for rule in rules)  # the longest rule's
+        antecedents = np.full((len(rules), width), self._n_terms, dtype=np.intp)
         for r, rule in enumerate(rules):
             antecedents[r, :len(rule.antecedents)] = [term_index[a] for a in rule.antecedents]
             if mamdani:
@@ -468,20 +476,19 @@ class FuzzySystem:
         order = np.arange(len(rules))
         if mamdani:
             order = np.argsort(consequents, kind="stable")
-            labels = np.array(consequents)[order]
-            self._label_starts = np.flatnonzero(np.diff(labels, prepend=-1))
+            used = sorted(set(consequents))  # the labels rules use, in output order
+            self._label_starts = np.array(consequents)[order].searchsorted(used)  # first rows
             try:
                 self._tables = _centroid_tables(
-                    tuple(output.terms[label].mf for label in labels[self._label_starts]),
+                    tuple(output.terms[label].mf for label in used),
                     output.universe, self.resolution,
                 )
             except ValueError as error:
                 raise ValueError(f"output {output.name!r} {error}") from None
         else:
-            self._constants = np.array(consequents)
+            self._constants = np.array(consequents)[:, None]
             self._affine = bool(self._slopes.any())
-        width = int((antecedents < self._n_terms).any(axis=0).sum())  # the longest rule's
-        self._antecedents = antecedents[order, :width]
+        self._antecedents = antecedents[order].T.copy()  # k x R
         # a system may be shared (``build_system`` memoizes): freeze every array
         _freeze(vars(self).values())
         self.rules = rules  # set last, as freezing need not walk it
@@ -490,12 +497,13 @@ class FuzzySystem:
         """One decision: ``evaluate_batch`` on the one row ``x``, given by
         position or by name. Named inputs must be exactly ``input_names``."""
         if isinstance(x, Mapping):
-            unknown = set(x) - set(self.input_names)
-            if unknown:
-                raise ValueError(f"unknown inputs: {sorted(unknown)}")
-            missing = set(self.input_names) - set(x)
-            if missing:
-                raise ValueError(f"missing inputs: {sorted(missing)}")
+            if x.keys() != self._names:
+                unknown = set(x) - self._names
+                if unknown:
+                    raise ValueError(f"unknown inputs: {sorted(unknown, key=repr)}")
+                missing = self._names - set(x)
+                if missing:
+                    raise ValueError(f"missing inputs: {sorted(missing)}")
             x = [x[name] for name in self.input_names]
         return float(self.evaluate_batch([x])[0])
 
@@ -517,7 +525,7 @@ class FuzzySystem:
         # a single row is the common case, so scan the whole array for NaN
         # before finding its column, and clamp with maximum/minimum, which
         # cost less than np.clip on small arrays
-        if np.isnan(x).any():
+        if np.logical_or.reduce(np.isnan(x), axis=None):
             nan = np.isnan(x)
             column = int(np.argmax(nan.any(axis=0)))
             entry = rows[int(np.argmax(nan[:, column]))][column]
@@ -535,48 +543,54 @@ class FuzzySystem:
                 weighted, totals = self._centroids(levels)
             else:
                 weighted, totals = self._weighted_averages(chunk, strengths)
-            if not (totals > 0.0).all():
+            if not np.minimum.reduce(totals) > 0.0:
                 raise EmptyAggregateError(start + int(np.argmin(totals > 0.0)))
-            out[start:start + BATCH_ROWS] = weighted / totals
+            np.divide(weighted, totals, out=out[start:start + BATCH_ROWS])
         if self.kind is EngineKind.SUGENO:
             np.minimum(np.maximum(out, self.output.universe.lo), self.output.universe.hi, out=out)
         return out
 
+    # A chunk's time is mostly numpy's fixed cost per call. So the kernel's
+    # index arrays and tables are C-contiguous, gathers along an axis ``take``
+    # whole rows into contiguous copies, and reductions call a ufunc's
+    # ``reduce``, not the array methods, which add Python-level wrappers.
     def _fuzzify(self, x: np.ndarray) -> np.ndarray:
-        """(T + 1) x N term degrees of clamped inputs, n x N; the last row is 1."""
-        degrees = np.ones((self._n_terms + 1, x.shape[1]))
-        for formula, terms, rows, params in self._shapes:
-            degrees[terms] = formula(x[rows], *params)
-        return degrees
+        """(T + 1) x N term degrees of clamped inputs, n x N (N <= BATCH_ROWS);
+        the last row is 1."""
+        return np.concatenate(
+            [formula(x.take(rows, axis=0), *params) for formula, rows, params in self._shapes]
+            + [self._ones[:, :x.shape[1]]]
+        )
 
     def _fire(self, degrees: np.ndarray) -> np.ndarray:
         """R x N rule strengths, conjoined in antecedent order."""
         combine = np.minimum if self.kind is EngineKind.MAMDANI else np.multiply
-        strengths = degrees[self._antecedents[:, 0]]
-        for j in range(1, self._antecedents.shape[1]):
-            combine(strengths, degrees[self._antecedents[:, j]], out=strengths)
+        strengths = degrees.take(self._antecedents[0], axis=0)
+        for terms in self._antecedents[1:]:
+            combine(strengths, degrees.take(terms, axis=0), out=strengths)
         return strengths
 
-    def _centroids(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _centroids(self, levels: np.ndarray) -> np.ndarray:
         """Clip each used label at its level (labels used x N, in output
-        order), max-aggregate, and give each column's moment and mass, whose
-        ratio is the end-weighted centroid ``defuzz_centroid`` takes of the
-        sampled curve, by lookups in ``_tables``: for each subset S,
+        order), max-aggregate, and give each column's moment and mass, 2 x N,
+        whose ratio is the end-weighted centroid ``defuzz_centroid`` takes of
+        the sampled curve, by lookups in ``_tables``: for each subset S,
         sum_k w_k min(c_S, Q_S(x_k)) is the sum of the table's w q below c_S
-        plus c_S times the sum of w from c_S on."""
+        plus c_S times the sum of w from c_S on, and the moment likewise with
+        w x. One gather takes both rows of a table, 2 x S x N."""
         t = self._tables
         c, j = t.split_at(levels)
-        below_wq, below_wxq = t.below_wq[j], t.below_wxq[j]
-        peaks = levels.max(axis=0, initial=0.0)
-        if peaks.min() < SMALL_LEVEL:
+        below = t.below.take(j, axis=1)
+        peaks = np.maximum.reduce(levels, axis=0, initial=0.0)
+        if np.minimum.reduce(peaks) < SMALL_LEVEL:
             # Scale each column by the power of two that takes its highest level
             # to about 1/2. That is exact and leaves the ratio as it is, but
             # keeps the products of subnormal levels from rounding to a few
             # units. The q below c_S sum to at most resolution x c_S, so
             # nothing overflows.
             scale = _upscale(peaks)
-            c, below_wq, below_wxq = c * scale, below_wq * scale, below_wxq * scale
-        return t.signs @ (below_wxq + c * t.above_wx[j]), t.signs @ (below_wq + c * t.above_w[j])
+            c, below = c * scale, below * scale
+        return t.signs @ (below + c * t.above.take(j, axis=1))
 
     def _weighted_averages(
         self, x: np.ndarray, strengths: np.ndarray
@@ -585,7 +599,7 @@ class FuzzySystem:
         x (n x N), and the sum of strengths. All-zero slopes, as in every
         standard Sugeno system, add exactly zero (c + 0.0 == c), so their
         matrix product, a BLAS call per chunk, is skipped."""
-        values = self._constants[:, None]
+        values = self._constants
         if self._affine:
             values = values + self._slopes @ x
-        return (strengths * values).sum(axis=0), strengths.sum(axis=0)
+        return np.add.reduce(strengths * values, axis=0), np.add.reduce(strengths, axis=0)

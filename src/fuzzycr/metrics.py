@@ -193,9 +193,7 @@ class RadioScenario:
         self, calibration: dict[str, CalibrationRange] | None = None
     ) -> dict[str, float]:
         """Derived metrics normalized onto [0, 100]."""
-        cal = dict(DEFAULT_CALIBRATION)
-        if calibration:
-            cal.update(calibration)
+        cal = {**DEFAULT_CALIBRATION, **calibration} if calibration else DEFAULT_CALIBRATION
         return {
             name: normalize(value, cal[name])
             for name, value in self.raw_metrics().items()

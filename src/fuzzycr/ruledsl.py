@@ -40,8 +40,11 @@ class RuleParseError(ValueError):
     """Parse failure, carrying the offending line number."""
 
     def __init__(self, message: str, line: int) -> None:
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)  # as given, so that a pickle round trip rebuilds it
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 @dataclass(frozen=True)

@@ -532,3 +532,20 @@ def test_the_real_key_split_holds_past_sixteen_bit_counts():
     fs = build_system(DecisionId.CHANNEL_SELECTION, VariantId.GAUSSIAN_MAMDANI, 100001)
     assert fs._tables.split.max() > np.iinfo(np.uint16).max
     assert_real_key_splits(fs, seed=11)
+
+
+@pytest.mark.parametrize("decision,variant", PAIRS, ids=lambda p: p.value)
+def test_the_kernel_arrays_are_c_contiguous(decision, variant):
+    # each gather copies whole rows only from C-contiguous index arrays and
+    # tables; a transposed view would make every chunk pay strided copies
+    fs = build_system(decision, variant)
+    arrays = {"_antecedents": fs._antecedents}
+    for g, (_, columns, params) in enumerate(fs._shapes):
+        arrays.update({f"_shapes[{g}] columns": columns})
+        arrays.update({f"_shapes[{g}] param {i}": p for i, p in enumerate(params)})
+    if fs.kind is EngineKind.MAMDANI:
+        t = fs._tables
+        arrays.update(members=t.members, split=t.split, rank_rows=t.rank_rows,
+                      below=t.below, above=t.above, q_levels=t.q_levels, signs=t.signs)
+        assert t.below.shape == t.above.shape == (2, t.split.max() + 1)
+    assert [name for name, a in arrays.items() if not a.flags.c_contiguous] == []

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from fuzzycr.engine import (
     defuzz_centroid,
     firing_strength,
 )
+from fuzzycr.analysis import VariantId, build_system
 from fuzzycr.catalog import DecisionId, standard_catalog
 from fuzzycr.membership import LinguisticTerm, LinguisticVariable, Triangular, Universe
 
@@ -313,6 +316,24 @@ class TestSystemValidation:
             system.evaluate({})
         with pytest.raises(ValueError, match="unknown"):
             system.evaluate({"x": 1.0, "y": 2.0})
+        # the exact messages, with the names sorted; unknown names come first
+        handoff = build_system(DecisionId.HANDOFF_STATUS, VariantId.GAUSSIAN_MAMDANI)
+        cases = [
+            ({"snr": 1.0, "interference": 2.0, "zz": 1.0, "aa": 0}, "unknown inputs: ['aa', 'zz']"),
+            ({"snr": 1.0}, "missing inputs: ['interference']"),
+            ({}, "missing inputs: ['interference', 'snr']"),
+            ({"snr": 1.0, "zz": 2.0}, "unknown inputs: ['zz']"),
+            # keys of mixed types are sorted by repr, not compared with each other
+            ({"snr": 1.0, "interference": 2.0, 3: 4.0, "zz": 1.0}, "unknown inputs: ['zz', 3]"),
+        ]
+        for x, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                handoff.evaluate(x)
+        # any mapping with exactly the input names reads as the positional row
+        row = handoff.evaluate([30.0, 70.0])
+        named = {"interference": 70.0, "snr": 30.0}
+        for x in (named, types.MappingProxyType(named), dict(reversed(named.items()))):
+            assert handoff.evaluate(x).hex() == row.hex()
 
     def test_nan_input_is_named_and_infinities_are_clamped(self):
         system = mamdani_system([Rule.of({"x": "Lo"}, "Mid")])

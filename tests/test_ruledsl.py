@@ -1,3 +1,4 @@
+import pickle
 import re
 from itertools import product
 
@@ -76,6 +77,17 @@ class TestParser:
         with pytest.raises(RuleParseError, match="line 1") as err:
             parse_rules("IF x IS Foo THEN handoff_status IS On", inputs, output)
         assert err.value.line == 1
+
+    def test_a_parse_error_survives_a_pickle_round_trip(self, tri_catalog):
+        inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
+        with pytest.raises(RuleParseError) as err:
+            parse_rules("# header\nIF snr IS Low", inputs, output)
+        for error in (err.value, RuleParseError("x", 3)):
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is RuleParseError
+            assert (copy.line, str(copy)) == (error.line, str(error))
+        assert str(err.value) == "line 2: rule is missing THEN"
+        assert str(RuleParseError("x", 3)) == "line 3: x"
 
     def test_unknown_label_lists_valid_labels(self, tri_catalog):
         inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
