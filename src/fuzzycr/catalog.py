@@ -192,7 +192,5 @@ def standard_catalog(family: str = "triangular") -> VariableCatalog:
 
 def sugeno_levels(decision: DecisionId) -> dict[str, float]:
     """Constant consequent value per output label: the triangular peak."""
-    for name, triangles in _OUTPUT_SPECS:
-        if name == DECISION_OUTPUT[decision]:
-            return {label: Triangular(*abc).peak for label, abc in triangles}
-    raise KeyError(decision)
+    output = standard_catalog("triangular").decision_output(decision)
+    return {term.label: term.mf.peak for term in output.terms}

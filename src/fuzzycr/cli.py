@@ -38,7 +38,7 @@ from .analysis import (
     surface_grid,
 )
 from .catalog import DECISION_INPUTS, DecisionId, standard_catalog
-from .engine import FuzzyError, check_resolution
+from .engine import FuzzyError, FuzzySystem, check_resolution
 from .ruledsl import RuleParseError, parse_catalog_rules
 from .svgplot import write_line_chart
 
@@ -65,20 +65,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class CliConfig:
-    """Options loadable from a ``key = value`` config file."""
-
-    resolution: int = 1001
-    fixed_value: float = DEFAULT_FIXED
-    grid: tuple[float, ...] | None = None
-    variant: VariantId | None = None
-    output_dir: Path | None = None
-    sugeno_coefficients: dict[DecisionId, dict[str, tuple[float, ...]]] = field(
-        default_factory=dict
-    )
-
-
 def _grid_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
     """Points ``lo + i*step`` up to ``hi``, at most ``MAX_GRID_POINTS`` of them."""
     if not 0 < step < math.inf or not hi >= lo:
@@ -92,7 +78,7 @@ def _grid_range(lo: float, hi: float, step: float) -> tuple[float, ...]:
 
 
 def _parse_number(text: str, name: str) -> float:
-    """A finite number; errors name ``name``, the config key or flag."""
+    """A finite number; each parser's errors name ``name``, the key, flag or input."""
     try:
         value = float(text)
     except ValueError:
@@ -100,6 +86,14 @@ def _parse_number(text: str, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
+
+
+def _parse_resolution(text: str, name: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{name}: {text.strip()!r} is not an integer") from None
+    return check_resolution(value)
 
 
 def _parse_grid(text: str, name: str) -> tuple[float, ...]:
@@ -110,6 +104,58 @@ def _parse_grid(text: str, name: str) -> tuple[float, ...]:
             raise CliError(f"{name} must be lo:hi:step or a comma list, got {text!r}")
         return _grid_range(*(_parse_number(p, name) for p in parts))
     return tuple(_parse_number(p, name) for p in text.split(","))
+
+
+def _parse_variant(text: str, name: str) -> VariantId:
+    try:
+        return VariantId.parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _parse_path(text: str, name: str) -> Path:
+    if not text:
+        raise ValueError(f"{name} must not be empty")
+    return Path(text)
+
+
+# Top-level config keys, each the name of the ``CliConfig`` field it sets,
+# with the one parser of its value, from the file or from a flag.
+_SCALAR_KEYS = {
+    "resolution": _parse_resolution,
+    "fixed_value": _parse_number,
+    "grid": _parse_grid,
+    "variant": _parse_variant,
+    "output_dir": _parse_path,
+}
+# The flag that overrides a key, on the subcommands that take it.
+_FLAGS = {"fixed_value": "--fixed", "grid": "--grid", "variant": "--variant",
+          "output_dir": "--out-dir"}
+
+
+@dataclass
+class CliConfig:
+    """The settings of one run: these defaults, then a config file's
+    top-level keys, then ``FUZZYCR_OUTPUT_DIR``, then the flags given."""
+
+    resolution: int = 1001
+    fixed_value: float = DEFAULT_FIXED
+    grid: tuple[float, ...] = DEFAULT_GRID
+    variant: VariantId = VariantId.TRIANGULAR_MAMDANI
+    output_dir: Path = Path(".")
+    sugeno_coefficients: dict[DecisionId, dict[str, tuple[float, ...]]] = field(
+        default_factory=dict
+    )
+
+    def apply(self, key: str, text: str, name: str) -> None:
+        """Set the field ``key`` from ``text``, given as ``name``."""
+        if key not in _SCALAR_KEYS:
+            raise CliError(f"unknown config key {key!r}")
+        setattr(self, key, _SCALAR_KEYS[key](text, name))
+
+    def system_for(self, decision: DecisionId, variant: VariantId) -> FuzzySystem:
+        coefficients = self.sugeno_coefficients.get(decision)
+        return build_system(decision, variant, self.resolution, coefficients)
 
 
 def load_config(path: Path) -> CliConfig:
@@ -137,7 +183,7 @@ def load_config(path: Path) -> CliConfig:
             elif not equals:
                 raise CliError("expected key = value")
             elif decision is None:
-                _apply_scalar(config, key.lower(), value)
+                config.apply(key.lower(), value, key.lower())
             else:
                 numbers = tuple(_parse_number(p, key) for p in value.split(","))
                 given = config.sugeno_coefficients.get(decision, {})
@@ -147,47 +193,6 @@ def load_config(path: Path) -> CliConfig:
         except Exception as exc:
             raise CliError(f"{path}:{line_no}: {exc}") from exc
     return config
-
-
-# Top-level config keys, each the name of the ``CliConfig`` field it sets,
-# with the parser of its value.
-_SCALAR_KEYS = {
-    "resolution": lambda text: check_resolution(int(text)),
-    "fixed_value": functools.partial(_parse_number, name="fixed_value"),
-    "grid": functools.partial(_parse_grid, name="grid"),
-    "variant": VariantId.parse,
-    "output_dir": Path,
-}
-
-
-def _apply_scalar(config: CliConfig, key: str, value: str) -> None:
-    if key not in _SCALAR_KEYS:
-        raise CliError(f"unknown config key {key!r}")
-    setattr(config, key, _SCALAR_KEYS[key](value))
-
-
-def _output_dir(config: CliConfig, flag: str | None) -> Path:
-    if flag:
-        return Path(flag)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return config.output_dir or Path(".")
-
-
-def _system_for(config: CliConfig, decision: DecisionId, variant: VariantId):
-    return build_system(
-        decision,
-        variant,
-        resolution=config.resolution,
-        sugeno_consequents=config.sugeno_coefficients.get(decision),
-    )
-
-
-def _fixed_value(args: argparse.Namespace, config: CliConfig) -> float:
-    if args.fixed is None:
-        return config.fixed_value
-    return _parse_number(args.fixed, "--fixed")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -201,19 +206,16 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 
 
 def _variant_list(text: str | None) -> tuple[VariantId, ...]:
-    if not text:
+    if text is None:
         return ALL_VARIANTS
-    return tuple(VariantId.parse(part) for part in text.split(","))
+    return tuple(_parse_variant(part, "--variants") for part in text.split(","))
 
 
 # --- subcommands --------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
     decision = DecisionId.parse(args.decision)
-    variant = VariantId.parse(args.variant) if args.variant else (
-        config.variant or VariantId.TRIANGULAR_MAMDANI
-    )
-    system = _system_for(config, decision, variant)
+    system = config.system_for(decision, config.variant)
     names = DECISION_INPUTS[decision]
     given: dict[str, float] = {}
     for item in args.inputs or ():
@@ -224,10 +226,7 @@ def cmd_eval(args: argparse.Namespace, config: CliConfig) -> int:
         check_inputs(decision, [name])
         if name in given:
             raise CliError(f"--in {name} is given twice")
-        try:
-            given[name] = float(value)
-        except ValueError:
-            raise CliError(f"--in {name}: {value!r} is not a number") from None
+        given[name] = _parse_number(value, f"--in {name}")
     print(f"{system.evaluate({name: config.fixed_value for name in names} | given):.4g}")
     return 0
 
@@ -242,15 +241,10 @@ def _sweep_header(result: SweepResult) -> list[str]:
 
 def cmd_sweep(args: argparse.Namespace, config: CliConfig) -> int:
     decision = DecisionId.parse(args.decision)
-    spec = SweepSpec(
-        decision,
-        args.vary,
-        fixed_value=_fixed_value(args, config),
-        grid=_parse_grid(args.grid, "--grid") if args.grid else (config.grid or DEFAULT_GRID),
-        variants=_variant_list(args.variants),
-    )
-    result = run_sweep(spec, functools.partial(_system_for, config))
-    out = Path(args.out)
+    variants = _variant_list(args.variants)
+    spec = SweepSpec(decision, args.vary, config.fixed_value, config.grid, variants)
+    result = run_sweep(spec, config.system_for)
+    out = _parse_path(args.out, "--out")
     _write_csv(out, _sweep_header(result), _sweep_rows(result))
     print(f"wrote {out}")
     return 0
@@ -262,10 +256,10 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
     grid = _grid_range(0.0, 100.0, args.step)
     grids = surface_grid(
         decision, args.vary_a, args.vary_b,
-        fixed_value=_fixed_value(args, config),
-        variants=variants, grid=grid, system_for=functools.partial(_system_for, config),
+        fixed_value=config.fixed_value,
+        variants=variants, grid=grid, system_for=config.system_for,
     )
-    outdir = _output_dir(config, args.out_dir)
+    outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     for variant, values in grids.items():
         path = outdir / f"surface_{decision.value}_{args.vary_a}_{args.vary_b}_{variant.value}.csv"
@@ -277,29 +271,28 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
 
 
 def cmd_tables(args: argparse.Namespace, config: CliConfig) -> int:
-    outdir = _output_dir(config, args.out_dir)
+    outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    sweeps = standard_sweep_results(functools.partial(_system_for, config))
+    sweeps = standard_sweep_results(config.system_for)
     for number, (key, decision, varied) in enumerate(STANDARD_SWEEPS, start=9):
         result = sweeps[key]
         path = outdir / f"table{number:02d}.csv"
         _write_csv(path, _sweep_header(result), _sweep_rows(result))
-    _write_correlation_csv(outdir / "table23.csv", sweeps)
+    _write_correlation_csv(outdir / "table23.csv", correlation_report(sweeps))
     print(f"wrote table09.csv..table23.csv to {outdir}")
     return 0
 
 
-def _write_correlation_csv(path: Path, sweeps) -> None:
+def _write_correlation_csv(path: Path, report) -> None:
     names = [name for name, _, _ in CORRELATION_PAIRS]
-    rows = [[key, *(row[name] for name in names)] for key, row in correlation_report(sweeps)]
+    rows = [[key, *(row[name] for name in names)] for key, row in report]
     _write_csv(path, ["input_parameter", *names], rows)
 
 
 def cmd_correlate(args: argparse.Namespace, config: CliConfig) -> int:
-    sweeps = standard_sweep_results(functools.partial(_system_for, config))
-    report = correlation_report(sweeps)
-    if args.out:
-        _write_correlation_csv(Path(args.out), sweeps)
+    report = correlation_report(standard_sweep_results(config.system_for))
+    if args.out is not None:
+        _write_correlation_csv(_parse_path(args.out, "--out"), report)
         print(f"wrote {args.out}")
         return 0
     width = max(len(key) for key, _ in report)
@@ -342,8 +335,8 @@ def _read_sweep_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 
 def cmd_plot(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.csv)
+    out = path.with_suffix(".svg") if args.out is None else _parse_path(args.out, "--out")
     header, rows = _read_sweep_csv(path)
-    out = Path(args.out) if args.out else path.with_suffix(".svg")
     xs = [row[0] for row in rows]
     series = {
         name: [row[i] for row in rows] for i, name in enumerate(header) if i > 0
@@ -458,7 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = load_config(Path(args.config)) if args.config else CliConfig()
+        # every setting, once, before the command: default < file < env < flag
+        path = None if args.config is None else _parse_path(args.config, "--config")
+        config = load_config(path) if path else CliConfig()
+        if env := os.environ.get(OUTPUT_DIR_ENV):  # set but empty counts as unset
+            config.apply("output_dir", env, OUTPUT_DIR_ENV)
+        for key, flag in _FLAGS.items():
+            text = getattr(args, flag[2:].replace("-", "_"), None)
+            if text is not None:  # given, even if empty
+                config.apply(key, text, flag)
         return args.func(args, config)
     except (CliError, FuzzyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuzzycr.analysis import VariantId, build_system
+from fuzzycr.catalog import DecisionId
 from fuzzycr.cli import (
+    _FLAGS,
     _SCALAR_KEYS,
     CSV_FORMAT,
     MAX_GRID_POINTS,
+    OUTPUT_DIR_ENV,
     CliError,
     _write_csv,
     build_parser,
@@ -73,7 +77,7 @@ class TestEval:
         )
         assert code == 1
         assert out == ""
-        assert err.strip() == "error: input 'snr' is NaN"
+        assert err.strip() == "error: --in snr must be finite, got nan"
 
     def test_inference_failure_is_one_line(self, capsys, monkeypatch):
         def fail(self, x):
@@ -113,12 +117,6 @@ class TestTables:
             "input_parameter,gaussian_vs_triangular_mamdani,"
             "constant_vs_linear_sugeno,gaussian_mamdani_vs_linear_sugeno"
         )
-
-    def test_env_var_sets_output_dir(self, tmp_path, capsys, monkeypatch):
-        target = tmp_path / "from_env"
-        monkeypatch.setenv("FUZZYCR_OUTPUT_DIR", str(target))
-        assert run_cli("tables", capsys=capsys)[0] == 0
-        assert (target / "table09.csv").exists()
 
 
 def test_csv_rows_are_formatted_cell_by_cell(tmp_path):
@@ -306,7 +304,11 @@ class TestPlot:
 # fragment the error line must contain.
 BAD_INPUTS = {
     "eval": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=nan"],
-             "input 'snr' is NaN"),
+             "--in snr must be finite, got nan"),
+    "eval-inf": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=inf"],
+                 "--in snr must be finite, got inf"),
+    "eval-minus-inf": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=-inf"],
+                       "--in snr must be finite, got -inf"),
     "eval-repeated-input": (
         lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr=10", "--in", "snr=90"],
         "--in snr is given twice"),
@@ -356,6 +358,35 @@ BAD_INPUTS = {
         lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
                      "--vary-b", "interference", "--step", "abc", "--out-dir", str(tmp)],
         "argument --step: invalid float value: 'abc'"),
+    # a flag given empty is an error naming it, never its default
+    "eval-empty-variant": (lambda tmp: ["eval", "--decision", "handoff-status", "--variant="],
+                           "--variant: unknown variant ''"),
+    "sweep-empty-fixed": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                                       "--fixed=", "--out", str(tmp / "s.csv")],
+                          "--fixed: '' is not a number"),
+    "sweep-empty-grid": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                                      "--grid=", "--out", str(tmp / "s.csv")],
+                         "--grid: '' is not a number"),
+    "sweep-empty-variants": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                                          "--variants=", "--out", str(tmp / "s.csv")],
+                             "--variants: unknown variant ''"),
+    "surface-empty-variants": (
+        lambda tmp: ["surface", "--decision", "handoff-status", "--vary-a", "snr",
+                     "--vary-b", "interference", "--variants=", "--out-dir", str(tmp / "out")],
+        "--variants: unknown variant ''"),
+    "surface-empty-out-dir": (lambda tmp: ["surface", "--decision", "handoff-status",
+                                           "--vary-a", "snr", "--vary-b", "interference",
+                                           "--out-dir="],
+                              "--out-dir must not be empty"),
+    "tables-empty-out-dir": (lambda tmp: ["tables", "--out-dir="], "--out-dir must not be empty"),
+    "sweep-empty-out": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
+                                     "--out="],
+                        "--out must not be empty"),
+    "correlate-empty-out": (lambda tmp: ["correlate", "--out="], "--out must not be empty"),
+    "plot-empty-out": (lambda tmp: ["plot", str(tmp / "a-file"), "--out="],
+                       "--out must not be empty"),
+    "empty-config": (lambda tmp: ["--config=", "tables", "--out-dir", str(tmp / "out")],
+                     "--config must not be empty"),
     "eval-no-decision": (lambda tmp: ["eval"],
                          "the following arguments are required: --decision"),
     "sweep-repeated-variant": (
@@ -521,8 +552,6 @@ class TestConfigFile:
         assert config.resolution == 2001
         assert config.fixed_value == 40.0
         assert config.grid == (0.0, 25.0, 50.0, 75.0, 100.0)
-        from fuzzycr.catalog import DecisionId
-
         # keyed by the output's own spelling of the label
         assert config.sugeno_coefficients[DecisionId.HANDOFF_STATUS] == {
             "On": (100.0, 0.25, 0.0),
@@ -558,6 +587,15 @@ class TestConfigFile:
         ("fixed_value = abc", "fixed_value: 'abc' is not a number"),
         ("grid = 10,inf", "grid must be finite, got inf"),
         ("grid = 10,a", "grid: 'a' is not a number"),
+        ("resolution = abc", "resolution: 'abc' is not an integer"),
+        ("resolution = 1001.0", "resolution: '1001.0' is not an integer"),
+        # a key given empty is an error naming it, never its default
+        ("resolution =", "resolution: '' is not an integer"),
+        ("fixed_value =", "fixed_value: '' is not a number"),
+        ("grid =", "grid: '' is not a number"),
+        ("variant =", "variant: unknown variant ''; valid: gaussian-mamdani, "
+                      "triangular-mamdani, constant-sugeno, linear-sugeno"),
+        ("output_dir =", "output_dir must not be empty"),
     ])
     def test_values_that_would_fail_later_are_rejected_at_their_line(
         self, tmp_path, line, message
@@ -669,3 +707,96 @@ class TestConfigFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         # caught at load, with the line and the label as written
         assert f"{path}:2: variable 'handoff_status' has no label 'Maybe'" in err
+
+
+HANDOFF = DecisionId.HANDOFF_STATUS
+LAYERS = ("default", "config", "env", "flag")
+
+
+def sweep_cell(tmp, out):
+    return float((tmp / "s.csv").read_text().splitlines()[1].split(",")[1])
+
+
+def sweep_grid(tmp, out):
+    return [float(row.split(",")[0]) for row in (tmp / "s.csv").read_text().splitlines()[1:]]
+
+
+def surface_dir(tmp, out):
+    (path,) = tmp.glob("*/surface_*.csv")
+    return path.parent.name
+
+
+# Each setting: the value of each layer (None where a layer cannot set it;
+# the default is the program's own), the argv of a run that uses it, what
+# that run shows, and what it must show for a value.
+PRECEDENCE = {
+    "fixed_value": (
+        {"default": "50", "config": "20", "env": None, "flag": "80"},
+        ["sweep", "--decision", "handoff-status", "--vary", "snr", "--grid", "50",
+         "--variants", "triangular-mamdani", "--out", "{tmp}/s.csv"],
+        sweep_cell,
+        lambda value: build_system(HANDOFF, VariantId.TRIANGULAR_MAMDANI).evaluate(
+            [50.0, float(value)]),
+    ),
+    "grid": (
+        {"default": "10:100:10", "config": "0:100:50", "env": None, "flag": "5,15"},
+        ["sweep", "--decision", "handoff-status", "--vary", "snr",
+         "--variants", "constant-sugeno", "--out", "{tmp}/s.csv"],
+        sweep_grid,
+        lambda value: {"10:100:10": [10.0 * i for i in range(1, 11)],
+                       "0:100:50": [0.0, 50.0, 100.0], "5,15": [5.0, 15.0]}[value],
+    ),
+    "variant": (
+        {"default": "triangular-mamdani", "config": "constant-sugeno", "env": None,
+         "flag": "gaussian-mamdani"},
+        ["eval", "--decision", "handoff-status", "--in", "snr=30", "--in", "interference=70"],
+        lambda tmp, out: out.strip(),
+        lambda value: f"{build_system(HANDOFF, VariantId.parse(value)).evaluate([30, 70]):.4g}",
+    ),
+    "output_dir": (  # the default, ".", is the working directory {tmp}/default
+        {"default": "{tmp}/default", "config": "{tmp}/config", "env": "{tmp}/env",
+         "flag": "{tmp}/flag"},
+        ["surface", "--decision", "handoff-status", "--vary-a", "snr", "--vary-b",
+         "interference", "--step", "50", "--variants", "constant-sugeno"],
+        surface_dir,
+        lambda value: Path(value).name,
+    ),
+}
+
+
+@pytest.mark.parametrize("key,top", [
+    (key, layer) for key, (values, *_) in PRECEDENCE.items()
+    for layer in LAYERS if values[layer] is not None
+])
+def test_every_setting_takes_default_then_config_then_env_then_flag(
+    key, top, tmp_path, capsys, monkeypatch
+):
+    values, argv, shown, shows = PRECEDENCE[key]
+    given = {
+        layer: values[layer].format(tmp=tmp_path)
+        for layer in LAYERS[:LAYERS.index(top) + 1] if values[layer] is not None
+    }
+    # every layer below ``top`` sets a value of its own, and loses
+    assert len({repr(shows(value)) for value in given.values()}) == len(given)
+    (tmp_path / "default").mkdir()
+    monkeypatch.chdir(tmp_path / "default")
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "config" in given:
+        (tmp_path / "fuzzycr.conf").write_text(f"{key} = {given['config']}\n")
+        argv = ["--config", str(tmp_path / "fuzzycr.conf"), *argv]
+    if "env" in given:
+        monkeypatch.setenv(OUTPUT_DIR_ENV, given["env"])
+    if "flag" in given:
+        argv += [_FLAGS[key], given["flag"]]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert shown(tmp_path, out) == shows(given[top])
+
+
+def test_an_empty_output_dir_variable_counts_as_unset(tmp_path, capsys, monkeypatch):
+    (tmp_path / "fuzzycr.conf").write_text(f"output_dir = {tmp_path / 'config'}\n")
+    monkeypatch.setenv(OUTPUT_DIR_ENV, "")
+    assert run_cli("--config", str(tmp_path / "fuzzycr.conf"), *PRECEDENCE["output_dir"][1],
+                   capsys=capsys)[0] == 0
+    assert surface_dir(tmp_path, "") == "config"
