@@ -88,8 +88,8 @@ def build_system(
     trailing slopes are zero). The constant replaces the catalog level of that
     label. Labels match like rule labels. Every variant checks the mapping
     with ``check_sugeno_consequents``, but only ``linear-sugeno`` uses it.
-    Labels it leaves out keep the catalog level and zero slopes, so by
-    default the affine and constant variants coincide.
+    Labels it leaves out keep the catalog level and zero slopes, so with no
+    mapping ``linear-sugeno`` is the ``constant-sugeno`` system itself.
 
     ``resolution`` is the Mamdani output's sample count. Every variant checks
     it, but Sugeno systems sample nothing, so they ignore it.
@@ -99,7 +99,8 @@ def build_system(
     system, whatever the order of the mapping's keys, the spelling of its
     labels or the sequence type of its values, whatever the resolution of a
     Sugeno variant, and whatever the mapping of any variant but
-    ``linear-sugeno``. Callers must not mutate it.
+    ``linear-sugeno``; a nonempty mapping gives ``linear-sugeno`` a system
+    of its own. Callers must not mutate it.
     """
     check_inputs(decision, ())
     if not isinstance(variant, VariantId):
@@ -112,6 +113,8 @@ def build_system(
         consequents = ()  # read by no other variant: one shared system for any mapping
     if variant in _SUGENO_VARIANTS:
         resolution = 1001  # samples nothing: one shared system for any resolution
+        if not consequents:  # zero slopes and catalog levels: the constant system
+            variant = VariantId.CONSTANT_SUGENO
     return _build_system(decision, variant, resolution, consequents)
 
 
@@ -241,9 +244,10 @@ def _evaluate_grids(
     """Each variant's outputs over each ``(axes, fixed)`` grid, shaped by its
     axes: the C-order Cartesian product of the values ``axes`` maps inputs
     to, with every other input at ``fixed``. All grids are stacked, so each
-    variant's system is evaluated once, in one batch. An empty aggregate
-    names the variant and the batch's first failing point by the axes of its
-    grid."""
+    distinct system is evaluated once, in one batch, and variants that
+    ``system_for`` gives the same system share its output arrays. An empty
+    aggregate names the first variant of the system and the batch's first
+    failing point by the axes of its grid."""
     names = DECISION_INPUTS[decision]
     shapes = [tuple(len(values) for values in axes.values()) for axes, _ in grids]
     blocks, bounds = [], [0]
@@ -256,17 +260,22 @@ def _evaluate_grids(
         bounds.append(bounds[-1] + len(block))
     x = np.vstack(blocks)
     out: list[dict[VariantId, np.ndarray]] = [{} for _ in grids]
+    done: dict[FuzzySystem, list[np.ndarray]] = {}  # keyed by identity
     for variant in variants:
         system = system_for(decision, variant)
-        order = [names.index(name) for name in system.input_names]
-        try:
-            outputs = system.evaluate_batch(x[:, order])
-        except EmptyAggregateError as exc:
-            axes = grids[np.searchsorted(bounds, exc.row, side="right") - 1][0]
-            point = ", ".join(f"{name}={x[exc.row, names.index(name)]:g}" for name in axes)
-            raise FuzzyError(f"{decision.value}/{variant.value} failed at {point}: {exc}") from exc
-        for result, start, stop, shape in zip(out, bounds, bounds[1:], shapes):
-            result[variant] = outputs[start:stop].reshape(shape)
+        if system not in done:
+            order = [names.index(name) for name in system.input_names]
+            try:
+                outputs = system.evaluate_batch(x[:, order])
+            except EmptyAggregateError as exc:
+                axes = grids[np.searchsorted(bounds, exc.row, side="right") - 1][0]
+                point = ", ".join(f"{name}={x[exc.row, names.index(name)]:g}" for name in axes)
+                raise FuzzyError(
+                    f"{decision.value}/{variant.value} failed at {point}: {exc}") from exc
+            done[system] = [outputs[start:stop].reshape(shape)
+                            for start, stop, shape in zip(bounds, bounds[1:], shapes)]
+        for result, values in zip(out, done[system]):
+            result[variant] = values
     return out
 
 
@@ -277,8 +286,9 @@ def run_sweeps(
     pinned; results in the order of ``specs``.
 
     The grids of all specs with the same decision and variants are stacked
-    into one input matrix, so each of those variants' systems is evaluated in
-    one batch. ``system_for(decision, variant)`` builds each variant's system.
+    into one input matrix, so each distinct system of those variants is
+    evaluated in one batch. ``system_for(decision, variant)`` builds each
+    variant's system.
     """
     groups: dict[tuple[DecisionId, tuple[VariantId, ...]], list[int]] = {}
     for i, spec in enumerate(specs):
@@ -399,7 +409,7 @@ def standard_sweep_results(
     system_for: SystemFactory = build_system,
 ) -> dict[str, SweepResult]:
     """All fourteen standard sweeps, keyed by sweep name: one batch per
-    decision and variant."""
+    decision and distinct system."""
     specs = [SweepSpec(decision, varied) for _, decision, varied in STANDARD_SWEEPS]
     results = run_sweeps(specs, system_for)
     return {key: result for (key, _, _), result in zip(STANDARD_SWEEPS, results)}

@@ -113,10 +113,14 @@ def _parse_variant(text: str, name: str) -> VariantId:
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _parse_path(text: str, name: str) -> Path:
+def _nonempty(text: str, name: str) -> str:
     if not text:
         raise ValueError(f"{name} must not be empty")
-    return Path(text)
+    return text
+
+
+def _parse_path(text: str, name: str) -> Path:
+    return Path(_nonempty(text, name))
 
 
 # Top-level config keys, each the name of the ``CliConfig`` field it sets,
@@ -195,14 +199,18 @@ def load_config(path: Path) -> CliConfig:
     return config
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """Numbers are written with ``CSV_FORMAT``, strings as they are. Every
     row has the cell types of the first, so one template formats them all."""
     lines = [",".join(header)]
     if rows:
         template = ",".join("%s" if isinstance(v, str) else CSV_FORMAT for v in rows[0])
         lines.extend(template % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
 
 
 def _variant_list(text: str | None) -> tuple[VariantId, ...]:
@@ -261,11 +269,14 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
     )
     outdir = config.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
+    # rows run over vary_a values, columns over vary_b values
+    header = [f"{args.vary_a}\\{args.vary_b}", *(CSV_FORMAT % b for b in grid)]
+    texts: dict[int, str] = {}  # variants that share a system share its array
     for variant, values in grids.items():
         path = outdir / f"surface_{decision.value}_{args.vary_a}_{args.vary_b}_{variant.value}.csv"
-        # rows run over vary_a values, columns over vary_b values
-        header = [f"{args.vary_a}\\{args.vary_b}", *(CSV_FORMAT % b for b in grid)]
-        _write_csv(path, header, np.column_stack((grid, values)).tolist())
+        if id(values) not in texts:
+            texts[id(values)] = _csv_text(header, np.column_stack((grid, values)).tolist())
+        path.write_text(texts[id(values)], encoding="utf-8", newline="\n")
         print(f"wrote {path}")
     return 0
 
@@ -336,19 +347,12 @@ def _read_sweep_csv(path: Path) -> tuple[list[str], list[list[float]]]:
 def cmd_plot(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.csv)
     out = path.with_suffix(".svg") if args.out is None else _parse_path(args.out, "--out")
+    title = path.stem if args.title is None else _nonempty(args.title, "--title")
+    y_label = "output" if args.y_label is None else _nonempty(args.y_label, "--y-label")
     header, rows = _read_sweep_csv(path)
     xs = [row[0] for row in rows]
-    series = {
-        name: [row[i] for row in rows] for i, name in enumerate(header) if i > 0
-    }
-    write_line_chart(
-        out,
-        xs,
-        series,
-        x_label=header[0],
-        y_label=args.y_label or "output",
-        title=args.title or path.stem,
-    )
+    series = {name: [row[i] for row in rows] for i, name in enumerate(header) if i > 0}
+    write_line_chart(out, xs, series, x_label=header[0], y_label=y_label, title=title)
     print(f"wrote {out}")
     return 0
 

@@ -15,7 +15,7 @@ from fuzzycr.analysis import (
     pearson,
     trend_violations,
 )
-from fuzzycr.catalog import DECISION_INPUTS, DecisionId
+from fuzzycr.catalog import DECISION_INPUTS, DecisionId, sugeno_levels
 from fuzzycr.engine import AggregateCurve, defuzz_centroid
 from fuzzycr.membership import Triangular, Universe
 from fuzzycr.metrics import (
@@ -94,13 +94,18 @@ def test_criterion_07_sugeno_channel_selection_midpoint():
 def test_criterion_08_constant_equals_zero_slope_linear():
     rng = np.random.default_rng(2024)
     decisions = list(DecisionId)
+    # explicit zero slopes for every label, so the two are different systems
     systems = {
         d: (
             build_system(d, VariantId.CONSTANT_SUGENO),
-            build_system(d, VariantId.LINEAR_SUGENO),
+            build_system(d, VariantId.LINEAR_SUGENO, sugeno_consequents={
+                label: (level, *[0.0] * len(DECISION_INPUTS[d]))
+                for label, level in sugeno_levels(d).items()
+            }),
         )
         for d in decisions
     }
+    assert all(constant is not linear for constant, linear in systems.values())
     worst = 0.0
     for i in range(1000):
         decision = decisions[i % len(decisions)]

@@ -161,9 +161,13 @@ class TestBuildSystemMemo:
         tilted = build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.1)})
         assert tilted is not plain
         assert tilted is not build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0, 0.2)})
-        # the constant variant keeps its own system, which criterion 08 compares
+        # with no consequents the linear variant is the constant system itself
         constant = (DecisionId.HANDOFF_STATUS, VariantId.CONSTANT_SUGENO)
-        assert build_system(*constant) is not plain
+        assert build_system(*constant) is plain
+        assert build_system(*self.HANDOFF, resolution=2001, sugeno_consequents={}) is plain
+        # any mapping, even one that restates the catalog level, is a system of its own
+        restated = build_system(*self.HANDOFF, sugeno_consequents={"On": (100.0,)})
+        assert restated is not plain and tilted is not build_system(*constant)
 
     @pytest.mark.parametrize("variant", [v for v in VariantId if v is not VariantId.LINEAR_SUGENO],
                              ids=lambda v: v.value)
@@ -336,7 +340,7 @@ class TestRunSweep:
 
 
 class TestRunSweeps:
-    def test_standard_sweeps_make_one_batch_per_decision_and_variant(self, monkeypatch):
+    def test_standard_sweeps_make_one_batch_per_decision_and_distinct_system(self, monkeypatch):
         batches = []
         evaluate_batch = FuzzySystem.evaluate_batch
 
@@ -346,8 +350,9 @@ class TestRunSweeps:
 
         monkeypatch.setattr(FuzzySystem, "evaluate_batch", counting)
         standard_sweep_results()
-        assert len(batches) == len(DecisionId) * len(VariantId) == 24
-        assert sum(batches) == len(STANDARD_SWEEPS) * len(VariantId) * 10
+        # linear-sugeno with no consequents is the constant-sugeno system
+        assert len(batches) == len(DecisionId) * (len(VariantId) - 1) == 18
+        assert sum(batches) == len(STANDARD_SWEEPS) * (len(VariantId) - 1) * 10
 
     def test_mixed_specs_keep_their_order_and_values(self):
         specs = [

@@ -255,8 +255,62 @@ class TestSweepAndSurface:
         assert len(lines) == 52  # header + 51 rows
         assert len(lines[1].split(",")) == 52  # row label + 51 columns
 
+    SURFACE = ("surface", "--decision", "channel-selection",
+               "--vary-a", "signal_strength", "--vary-b", "spectrum_demand")
+
+    def surface_with_batches(self, tmp_path, capsys, monkeypatch, *config):
+        """The four variants' surface CSVs and the systems evaluated to write them."""
+        systems = []
+        evaluate_batch = FuzzySystem.evaluate_batch
+
+        def counting(self, x):
+            systems.append(self)
+            return evaluate_batch(self, x)
+
+        monkeypatch.setattr(FuzzySystem, "evaluate_batch", counting)
+        out = tmp_path / "out"
+        assert run_cli(*config, *self.SURFACE, "--out-dir", str(out), capsys=capsys)[0] == 0
+        files = {v: out / f"surface_channel-selection_signal_strength_spectrum_demand_{v.value}.csv"
+                 for v in VariantId}
+        return {v: path.read_bytes() for v, path in files.items()}, systems
+
+    def test_default_linear_sugeno_shares_the_constant_grid(self, tmp_path, capsys, monkeypatch):
+        files, systems = self.surface_with_batches(tmp_path, capsys, monkeypatch)
+        assert len(systems) == 3 and len(set(map(id, systems))) == 3
+        assert files[VariantId.LINEAR_SUGENO] == files[VariantId.CONSTANT_SUGENO]
+        assert files[VariantId.GAUSSIAN_MAMDANI] != files[VariantId.TRIANGULAR_MAMDANI]
+
+    def test_a_nonzero_slope_evaluates_linear_sugeno_apart(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "slope.conf"
+        config.write_text("[sugeno.channel-selection]\nHigh = 75, 0.1\n")
+        files, systems = self.surface_with_batches(
+            tmp_path, capsys, monkeypatch, "--config", str(config))
+        assert len(systems) == 4 and len(set(map(id, systems))) == 4
+        linear, constant = files[VariantId.LINEAR_SUGENO], files[VariantId.CONSTANT_SUGENO]
+        assert linear != constant
+        # row signal_strength=60, column spectrum_demand=40, snr at the midpoint
+        tilted = build_system(DecisionId.CHANNEL_SELECTION, VariantId.LINEAR_SUGENO,
+                              sugeno_consequents={"High": (75.0, 0.1)})
+        point = {"signal_strength": 60.0, "spectrum_demand": 40.0, "snr": 50.0}
+        for data, system in ((linear, tilted), (constant, build_system(
+                DecisionId.CHANNEL_SELECTION, VariantId.CONSTANT_SUGENO))):
+            row = data.decode().splitlines()[1 + 30]
+            assert float(row.split(",")[1 + 20]) == pytest.approx(system.evaluate(point), abs=1e-9)
+
 
 class TestPlot:
+    @pytest.mark.parametrize("flag", ["--title", "--y-label"])
+    def test_an_empty_label_errors_without_writing(self, tmp_path, capsys, flag):
+        csv = tmp_path / "sweep.csv"
+        csv.write_text("snr,a\n10,1\n20,2\n")
+        svg = tmp_path / "chart.svg"
+        code, out, err = run_cli("plot", str(csv), "--out", str(svg), f"{flag}=", capsys=capsys)
+        assert (code, out, err) == (1, "", f"error: {flag} must not be empty\n")
+        assert not svg.exists()
+        # given, the label is drawn as it is
+        assert run_cli("plot", str(csv), "--out", str(svg), f"{flag}=x & y", capsys=capsys)[0] == 0
+        assert "x &amp; y" in svg.read_text()
+
     def test_plot_has_one_polyline_per_variant(self, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
         run_cli(
