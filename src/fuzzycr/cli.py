@@ -200,17 +200,16 @@ def load_config(path: Path) -> CliConfig:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Numbers are written with ``CSV_FORMAT``, strings as they are. Every
-    row has the cell types of the first, so one template formats them all."""
-    lines = [",".join(header)]
-    if rows:
-        template = ",".join("%s" if isinstance(v, str) else CSV_FORMAT for v in rows[0])
-        lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """LF-terminated lines; numbers are written with ``CSV_FORMAT``, strings
+    as they are. Every row has the cell types of the first, so one row
+    template, repeated once per row, formats all the cells in one call."""
+    line = ",".join("%s" if isinstance(v, str) else CSV_FORMAT for v in rows[0]) if rows else ""
+    cells = tuple(itertools.chain.from_iterable(rows))
+    return ",".join(header) + "\n" + ((line + "\n") * len(rows)) % cells
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
+    path.write_bytes(_csv_text(header, rows).encode())
 
 
 def _variant_list(text: str | None) -> tuple[VariantId, ...]:
@@ -271,12 +270,12 @@ def cmd_surface(args: argparse.Namespace, config: CliConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     # rows run over vary_a values, columns over vary_b values
     header = [f"{args.vary_a}\\{args.vary_b}", *(CSV_FORMAT % b for b in grid)]
-    texts: dict[int, str] = {}  # variants that share a system share its array
+    texts: dict[int, bytes] = {}  # variants that share a system share its array
     for variant, values in grids.items():
         path = outdir / f"surface_{decision.value}_{args.vary_a}_{args.vary_b}_{variant.value}.csv"
         if id(values) not in texts:
-            texts[id(values)] = _csv_text(header, np.column_stack((grid, values)).tolist())
-        path.write_text(texts[id(values)], encoding="utf-8", newline="\n")
+            texts[id(values)] = _csv_text(header, np.column_stack((grid, values)).tolist()).encode()
+        path.write_bytes(texts[id(values)])
         print(f"wrote {path}")
     return 0
 

@@ -410,8 +410,9 @@ class FuzzySystem:
     of the shape. Degrees fill a (T + 1) x N matrix, the groups in order and
     then a row of constant 1, so the k x R antecedent matrix, one row per
     antecedent position, pads short rules with index T. Its Mamdani columns
-    are sorted by consequent label, so one ``np.maximum.reduceat`` turns rule
-    strengths into one clip level per label used, and the output's shared
+    are sorted by consequent label; one gather of rule strengths through an
+    L x m block of each used label's rows, padded with its first, and one max
+    give one clip level per label used, and the output's shared
     :class:`_CentroidTables` turn those into centroids; Sugeno columns keep
     the rule order, with R x 1 constants and an R x n slope matrix.
     """
@@ -477,7 +478,10 @@ class FuzzySystem:
         if mamdani:
             order = np.argsort(consequents, kind="stable")
             used = sorted(set(consequents))  # the labels rules use, in output order
-            self._label_starts = np.array(consequents)[order].searchsorted(used)  # first rows
+            labels = np.array(consequents)[order]
+            first, end = labels.searchsorted(used), labels.searchsorted(used, side="right")
+            rows = first[:, None] + np.arange(max(end - first))  # L x m, padded with first
+            self._label_rows = np.where(rows < end[:, None], rows, first[:, None])
             try:
                 self._tables = _centroid_tables(
                     tuple(output.terms[label].mf for label in used),
@@ -512,19 +516,25 @@ class FuzzySystem:
         ``input_names`` order, to N crisp outputs.
 
         Inputs are clamped to their universes, a NaN or an entry that is not
-        a number (``None`` converts to NaN) raises a ``ValueError`` naming its
-        input, Sugeno outputs are clamped to the output universe, and an
-        empty aggregate raises ``EmptyAggregateError`` naming the first row
-        that has one. Rows are evaluated ``BATCH_ROWS`` at a time.
+        a ``numbers.Real`` (``None``, a string, bytes, a complex) raises a
+        ``ValueError`` naming its input, Sugeno outputs are clamped to the
+        output universe, and an empty aggregate raises ``EmptyAggregateError``
+        naming the first row that has one. Rows are evaluated ``BATCH_ROWS``
+        at a time.
         """
-        rows, x = x, np.asarray(x, dtype=float)
+        rows, x = x, np.asarray(x)
         if x.ndim != 2 or x.shape[1] != len(self.inputs):
             raise ValueError(
                 f"expected an N x {len(self.inputs)} input array, got shape {x.shape}"
             )
+        if x.dtype.kind not in "biuf":
+            # strings, bytes, complex or objects: a non-real entry reads as NaN, named below
+            rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+            x = np.array([[v if isinstance(v, numbers.Real) else np.nan for v in row]
+                          for row in rows], dtype=float)
         # a single row is the common case, so scan the whole array for NaN
         # before finding its column, and clamp with maximum/minimum, which
-        # cost less than np.clip on small arrays
+        # cost less than np.clip on small arrays and give float64 from any real dtype
         if np.logical_or.reduce(np.isnan(x), axis=None):
             nan = np.isnan(x)
             column = int(np.argmax(nan.any(axis=0)))
@@ -539,8 +549,7 @@ class FuzzySystem:
             chunk = np.ascontiguousarray(x[start:start + BATCH_ROWS].T)
             strengths = self._fire(self._fuzzify(chunk))
             if self.kind is EngineKind.MAMDANI:
-                levels = np.maximum.reduceat(strengths, self._label_starts, axis=0)
-                weighted, totals = self._centroids(levels)
+                weighted, totals = self._centroids(self._clip_levels(strengths))
             else:
                 weighted, totals = self._weighted_averages(chunk, strengths)
             if not np.minimum.reduce(totals) > 0.0:
@@ -569,6 +578,11 @@ class FuzzySystem:
         for terms in self._antecedents[1:]:
             combine(strengths, degrees.take(terms, axis=0), out=strengths)
         return strengths
+
+    def _clip_levels(self, strengths: np.ndarray) -> np.ndarray:
+        """L x N clip levels, the strongest of R x N Mamdani rule strengths per
+        used label: one padded gather and one max, cheaper than reduceat."""
+        return np.maximum.reduce(strengths.take(self._label_rows, axis=0), axis=1)
 
     def _centroids(self, levels: np.ndarray) -> np.ndarray:
         """Clip each used label at its level (labels used x N, in output

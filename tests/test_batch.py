@@ -14,6 +14,8 @@ closed forms written out in plain Python.
 """
 
 import itertools
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +241,26 @@ def test_an_entry_that_is_not_a_number_is_named(variant):
         fs.evaluate_batch(np.array([[1.0, 2.0], [np.nan, None]], dtype=object))
 
 
+@pytest.mark.parametrize("entry", ["40", b"40", "abc", 1 + 0j], ids=repr)
+def test_an_entry_that_numpy_would_parse_is_still_not_a_number(entry):
+    # numpy reads "40" and b"40" as 40.0; only a numbers.Real is an input
+    fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.GAUSSIAN_MAMDANI)
+    message = re.escape(f"input 'snr' is not a number: {entry!r}")
+    for call in (lambda: fs.evaluate({"snr": entry, "interference": 50.0}),
+                 lambda: fs.evaluate_batch([[1.0, 2.0], [entry, 50.0]]),
+                 lambda: fs.evaluate_batch(np.array([[entry, 50.0]], dtype=object))):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_a_real_number_of_any_type_is_an_input():
+    fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.GAUSSIAN_MAMDANI)
+    expected = fs.evaluate([40.0, 50.0])
+    for snr in (Fraction(40), 40, np.int8(40), np.float32(40.0)):
+        assert fs.evaluate({"snr": snr, "interference": 50.0}) == expected
+    assert fs.evaluate_batch(np.array([[40, 50]])).tolist() == [expected]
+
+
 def test_wrong_shapes_are_rejected():
     fs = build_system(DecisionId.HANDOFF_STATUS, VariantId.TRIANGULAR_MAMDANI)
     for bad in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 1))):
@@ -394,8 +416,8 @@ def test_raising_a_term_degree_never_lowers_a_clip_level_or_strength(decision, v
     before, after = fs._fire(degrees), fs._fire(raised)
     if fs.kind is EngineKind.MAMDANI:
         # clip levels: the strongest rule of each consequent label
-        before = np.maximum.reduceat(before, fs._label_starts, axis=0)
-        after = np.maximum.reduceat(after, fs._label_starts, axis=0)
+        before = fs._clip_levels(before)
+        after = fs._clip_levels(after)
     assert (after >= before).all()
 
 
@@ -474,6 +496,52 @@ def test_centroids_equal_the_sampled_reference(name, levels):
         assert abs(row_moment / row_mass - expected) <= PARITY
 
 
+def kernel_rule_order(fs):
+    """The rules of Mamdani ``fs`` in the order of its strength rows: sorted
+    by consequent label in output order, ties in the caller's order."""
+    return sorted(fs.rules, key=lambda rule: fs.output.labels.index(rule.consequent))
+
+
+def used_labels(fs):
+    return [label for label in fs.output.labels if any(r.consequent == label for r in fs.rules)]
+
+
+@pytest.mark.parametrize("name", MAMDANI_SYSTEMS)
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(1, BATCH_ROWS + 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_clip_levels_are_the_strongest_rule_of_each_label(name, n, seed):
+    # random strengths, with ties, zeros and ones, against a per-label max
+    # written out rule by rule
+    fs = MAMDANI_SYSTEMS[name]()
+    rules = kernel_rule_order(fs)
+    rng = np.random.default_rng(seed)
+    strengths = np.where(rng.random((len(rules), n)) < 0.3,
+                         rng.choice([0.0, 0.5, 1.0], (len(rules), n)),
+                         rng.random((len(rules), n)))
+    expected = [
+        [max(strengths[r, i] for r, rule in enumerate(rules) if rule.consequent == label)
+         for i in range(n)]
+        for label in used_labels(fs)
+    ]
+    assert fs._clip_levels(strengths).tolist() == expected
+
+
+@pytest.mark.parametrize("name", MAMDANI_SYSTEMS)
+def test_each_label_row_lists_its_own_rules_padded_with_its_first(name):
+    fs = MAMDANI_SYSTEMS[name]()
+    rules = kernel_rule_order(fs)
+    seen = []
+    for label, row in zip(used_labels(fs), fs._label_rows.tolist(), strict=True):
+        own = [r for r, rule in enumerate(rules) if rule.consequent == label]
+        assert row == own + own[:1] * (len(row) - len(own))
+        seen += own
+    assert sorted(seen) == list(range(len(rules)))  # every rule, once
+    # padded to the most rules any label has, no wider
+    assert fs._label_rows.shape[1] == max(
+        sum(rule.consequent == label for rule in rules) for label in used_labels(fs)
+    )
+
+
 def output_subsets(fs):
     """The label subsets of the labels ``fs``'s rules use, each with Q_S."""
     used = [t for t in fs.output.terms if any(r.consequent == t.label for r in fs.rules)]
@@ -504,7 +572,7 @@ def assert_real_key_splits(fs, seed):
     # random clip levels, levels that are table entries, and the extremes
     subsets = output_subsets(fs)
     entries = np.concatenate([q[q > 0.0] for _, q in subsets])
-    shape = (8, len(fs._label_starts))
+    shape = (8, len(fs._label_rows))
     rng = np.random.default_rng(seed)
     levels = np.vstack([
         rng.uniform(0.0, 1.0, shape),
@@ -545,7 +613,7 @@ def test_the_kernel_arrays_are_c_contiguous(decision, variant):
         arrays.update({f"_shapes[{g}] param {i}": p for i, p in enumerate(params)})
     if fs.kind is EngineKind.MAMDANI:
         t = fs._tables
-        arrays.update(members=t.members, split=t.split, rank_rows=t.rank_rows,
+        arrays.update(_label_rows=fs._label_rows, members=t.members, split=t.split, rank_rows=t.rank_rows,
                       below=t.below, above=t.above, q_levels=t.q_levels, signs=t.signs)
         assert t.below.shape == t.above.shape == (2, t.split.max() + 1)
     assert [name for name, a in arrays.items() if not a.flags.c_contiguous] == []

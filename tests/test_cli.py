@@ -12,6 +12,7 @@ from fuzzycr.cli import (
     MAX_GRID_POINTS,
     OUTPUT_DIR_ENV,
     CliError,
+    _csv_text,
     _write_csv,
     build_parser,
     load_config,
@@ -132,6 +133,36 @@ def test_csv_rows_are_formatted_cell_by_cell(tmp_path):
     )
     assert path.read_bytes() == expected.encode()
     assert path.read_text().splitlines()[1] == "snr,0.10000000000000001,3,-0"
+
+
+def reference_csv_text(header, rows):
+    """One line per row, each cell formatted on its own."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else CSV_FORMAT % v for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("header,rows", [
+    # the table23 shape: a str first cell, then floats
+    (["input_parameter", "a", "b"], [["snr", 0.5, -0.25], ["interference", 1e-300, 100.0]]),
+    (["x", "y"], [[v, -v] for v in (0.0, -0.0, 5e-324, 1e-300, 0.1, 100.0, 1e17)]),
+    (["only", "a", "header"], []),  # the header line alone, with its LF
+], ids=["str-first", "floats", "no-rows"])
+def test_the_csv_template_equals_cell_by_cell_formatting(header, rows):
+    assert _csv_text(header, rows) == reference_csv_text(header, rows)
+
+
+@pytest.mark.parametrize("argv", [("tables",), ("surface", "--decision", "handoff-status",
+                                               "--vary-a", "snr", "--vary-b", "interference",
+                                               "--step", "25")])
+def test_written_csvs_are_lf_only_utf8(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out-dir", str(tmp_path), capsys=capsys)[0] == 0
+    files = sorted(tmp_path.glob("*.csv"))
+    assert files
+    for path in files:
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        data.decode("utf-8")
 
 
 class TestSweepAndSurface:
