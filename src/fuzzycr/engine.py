@@ -516,11 +516,10 @@ class FuzzySystem:
         ``input_names`` order, to N crisp outputs.
 
         Inputs are clamped to their universes, a NaN or an entry that is not
-        a ``numbers.Real`` (``None``, a string, bytes, a complex) raises a
+        a ``numbers.Real`` (``None``, or a string numpy would parse) raises a
         ``ValueError`` naming its input, Sugeno outputs are clamped to the
         output universe, and an empty aggregate raises ``EmptyAggregateError``
-        naming the first row that has one. Rows are evaluated ``BATCH_ROWS``
-        at a time.
+        naming the first row that has one; rows run ``BATCH_ROWS`` at a time.
         """
         rows, x = x, np.asarray(x)
         if x.ndim != 2 or x.shape[1] != len(self.inputs):
