@@ -87,7 +87,8 @@ def build_system(
     the affine Sugeno variant, slopes in decision input order (missing
     trailing slopes are zero). The constant replaces the catalog level of that
     label. Labels match like rule labels. Every variant checks the mapping
-    with ``check_sugeno_consequents``, but only ``linear-sugeno`` uses it.
+    with ``check_sugeno_consequents``, but only ``linear-sugeno`` uses it;
+    anything but ``None`` or a mapping is a ``ValueError``.
     Labels it leaves out keep the catalog level and zero slopes, so with no
     mapping ``linear-sugeno`` is the ``constant-sugeno`` system itself.
 
@@ -106,6 +107,8 @@ def build_system(
     if not isinstance(variant, VariantId):
         raise ValueError(f"variant must be a VariantId, got {variant!r}")
     check_resolution(resolution)
+    if not isinstance(sugeno_consequents, (Mapping, type(None))):
+        raise ValueError(f"sugeno_consequents must be a mapping, got {sugeno_consequents!r}")
     consequents = tuple(sorted(
         check_sugeno_consequents(decision, sugeno_consequents.items()).items()
     )) if sugeno_consequents else ()

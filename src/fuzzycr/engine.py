@@ -409,12 +409,12 @@ class FuzzySystem:
     formula, the input rows of its terms, and one parameter column per field
     of the shape. Degrees fill a (T + 1) x N matrix, the groups in order and
     then a row of constant 1, so the k x R antecedent matrix, one row per
-    antecedent position, pads short rules with index T. Its Mamdani columns
-    are sorted by consequent label; one gather of rule strengths through an
-    L x m block of each used label's rows, padded with its first, and one max
-    give one clip level per label used, and the output's shared
-    :class:`_CentroidTables` turn those into centroids; Sugeno columns keep
-    the rule order, with R x 1 constants and an R x n slope matrix.
+    antecedent position, pads short rules with index T. Column r, and so
+    strength row r, is ``rules[r]`` for both kinds. For Mamdani, one gather of
+    rule strengths through an L x m block that lists each used label's rule
+    positions, padded with its first, and one max give one clip level per
+    label used, and the output's shared :class:`_CentroidTables` turn those
+    into centroids; Sugeno has R x 1 constants and an R x n slope matrix.
     """
 
     def __init__(
@@ -430,7 +430,6 @@ class FuzzySystem:
         self.input_names = tuple(v.name for v in self.inputs)
         self._names = frozenset(self.input_names)
         index = input_index(self.inputs)
-        column_of = {name: column for column, name in enumerate(self.input_names)}
         if not rules:
             raise ValueError("system needs at least one rule")
         mamdani = isinstance(rules[0].consequent, str)
@@ -458,41 +457,32 @@ class FuzzySystem:
         )
         self._ones = np.ones((1, BATCH_ROWS))
 
-        if mamdani:
-            label_index = {label: i for i, label in enumerate(output.labels)}
-        else:
-            self._slopes = np.zeros((len(rules), len(self.inputs)))
-        consequents = []  # per rule, a label index (Mamdani) or a constant (Sugeno)
         width = max(len(rule.antecedents) for rule in rules)  # the longest rule's
         antecedents = np.full((len(rules), width), self._n_terms, dtype=np.intp)
         for r, rule in enumerate(rules):
             antecedents[r, :len(rule.antecedents)] = [term_index[a] for a in rule.antecedents]
-            if mamdani:
-                consequents.append(label_index[rule.consequent])
-            else:
-                for name, coeff in rule.consequent.coefficients:
-                    self._slopes[r, column_of[name]] = coeff
-                consequents.append(rule.consequent.constant)
-
-        order = np.arange(len(rules))
+        self._antecedents = antecedents.T.copy()  # k x R, column r is rules[r]
         if mamdani:
-            order = np.argsort(consequents, kind="stable")
-            used = sorted(set(consequents))  # the labels rules use, in output order
-            labels = np.array(consequents)[order]
-            first, end = labels.searchsorted(used), labels.searchsorted(used, side="right")
-            rows = first[:, None] + np.arange(max(end - first))  # L x m, padded with first
-            self._label_rows = np.where(rows < end[:, None], rows, first[:, None])
+            label_index = {label: i for i, label in enumerate(output.labels)}
+            positions: dict[int, list[int]] = {}  # label index: positions of its rules
+            for r, rule in enumerate(rules):
+                positions.setdefault(label_index[rule.consequent], []).append(r)
+            used = sorted(positions)  # the labels rules use, in output order
+            rows = [positions[i] for i in used]
+            m = max(map(len, rows))
+            # L x m: each used label's rule positions, padded with its first
+            self._label_rows = np.array([p + p[:1] * (m - len(p)) for p in rows], dtype=np.intp)
+            mfs = tuple(output.terms[label].mf for label in used)
             try:
-                self._tables = _centroid_tables(
-                    tuple(output.terms[label].mf for label in used),
-                    output.universe, self.resolution,
-                )
+                self._tables = _centroid_tables(mfs, output.universe, self.resolution)
             except ValueError as error:
                 raise ValueError(f"output {output.name!r} {error}") from None
         else:
-            self._constants = np.array(consequents)[:, None]
+            self._constants = np.array([[rule.consequent.constant] for rule in rules], dtype=float)
+            slopes = [dict(rule.consequent.coefficients) for rule in rules]
+            self._slopes = np.array(  # R x n, 0 where a rule names no slope
+                [[s.get(name, 0.0) for name in self.input_names] for s in slopes], dtype=float)
             self._affine = bool(self._slopes.any())
-        self._antecedents = antecedents[order].T.copy()  # k x R
         # a system may be shared (``build_system`` memoizes): freeze every array
         _freeze(vars(self).values())
         self.rules = rules  # set last, as freezing need not walk it

@@ -192,8 +192,14 @@ class RadioScenario:
     def crisp_inputs(
         self, calibration: dict[str, CalibrationRange] | None = None
     ) -> dict[str, float]:
-        """Derived metrics normalized onto [0, 100]."""
+        """Derived metrics normalized onto [0, 100]. ``calibration``, a mapping,
+        replaces the range of each metric it names; other keys or values raise."""
         cal = {**DEFAULT_CALIBRATION, **calibration} if calibration else DEFAULT_CALIBRATION
+        for name, value in (calibration or {}).items():
+            if name not in DEFAULT_CALIBRATION:
+                raise ValueError(f"unknown metric {name!r}; valid: {list(DEFAULT_CALIBRATION)}")
+            if not isinstance(value, CalibrationRange):
+                raise ValueError(f"calibration {name!r} must be a CalibrationRange, got {value!r}")
         return {
             name: normalize(value, cal[name])
             for name, value in self.raw_metrics().items()

@@ -496,10 +496,27 @@ def test_centroids_equal_the_sampled_reference(name, levels):
         assert abs(row_moment / row_mass - expected) <= PARITY
 
 
-def kernel_rule_order(fs):
-    """The rules of Mamdani ``fs`` in the order of its strength rows: sorted
-    by consequent label in output order, ties in the caller's order."""
-    return sorted(fs.rules, key=lambda rule: fs.output.labels.index(rule.consequent))
+# every standard system, and the custom Mamdani ones above
+ALL_SYSTEMS = {
+    **{f"{d.value}/{v.value}": lambda d=d, v=v: build_system(d, v) for d, v in PAIRS},
+    **{name: make for name, make in MAMDANI_SYSTEMS.items() if "/" not in name},
+}
+
+
+@pytest.mark.parametrize("name", ALL_SYSTEMS)
+def test_strength_row_r_is_rule_r(name):
+    # the kernel keeps the caller's rule order for both kinds: row r of the
+    # strengths is rules[r] fired rule by rule
+    fs = ALL_SYSTEMS[name]()
+    rng = np.random.default_rng(11)
+    chunk = np.array([rng.uniform(v.universe.lo, v.universe.hi, BATCH_ROWS) for v in fs.inputs])
+    chunk[:, ::3] = np.round(chunk[:, ::3] / 5.0) * 5.0  # where terms peak and cross
+    strengths = fs._fire(fs._fuzzify(chunk))
+    assert strengths.shape == (len(fs.rules), BATCH_ROWS)
+    for i, column in enumerate(chunk.T):
+        fuzzified = {var.name: var.fuzzify(float(x)) for var, x in zip(fs.inputs, column)}
+        expected = [firing_strength(rule, fuzzified, fs.kind) for rule in fs.rules]
+        assert np.abs(strengths[:, i] - expected).max() <= PARITY
 
 
 def used_labels(fs):
@@ -513,7 +530,7 @@ def test_clip_levels_are_the_strongest_rule_of_each_label(name, n, seed):
     # random strengths, with ties, zeros and ones, against a per-label max
     # written out rule by rule
     fs = MAMDANI_SYSTEMS[name]()
-    rules = kernel_rule_order(fs)
+    rules = fs.rules
     rng = np.random.default_rng(seed)
     strengths = np.where(rng.random((len(rules), n)) < 0.3,
                          rng.choice([0.0, 0.5, 1.0], (len(rules), n)),
@@ -529,7 +546,7 @@ def test_clip_levels_are_the_strongest_rule_of_each_label(name, n, seed):
 @pytest.mark.parametrize("name", MAMDANI_SYSTEMS)
 def test_each_label_row_lists_its_own_rules_padded_with_its_first(name):
     fs = MAMDANI_SYSTEMS[name]()
-    rules = kernel_rule_order(fs)
+    rules = fs.rules
     seen = []
     for label, row in zip(used_labels(fs), fs._label_rows.tolist(), strict=True):
         own = [r for r, rule in enumerate(rules) if rule.consequent == label]

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzycr.analysis import VariantId, build_system
+from fuzzycr.analysis import (CORRELATION_PAIRS, VariantId, build_system, correlation_report,
+                              standard_sweep_results)
 from fuzzycr.catalog import DecisionId
 from fuzzycr.cli import (
     _FLAGS,
@@ -329,6 +330,24 @@ class TestSweepAndSurface:
             assert float(row.split(",")[1 + 20]) == pytest.approx(system.evaluate(point), abs=1e-9)
 
 
+def test_correlate_prints_and_writes_the_same_report(tmp_path, capsys):
+    code, printed, _ = run_cli("correlate", capsys=capsys)
+    assert code == 0
+    names = [name for name, _, _ in CORRELATION_PAIRS]
+    path = tmp_path / "correlation.csv"
+    assert run_cli("correlate", "--out", str(path), capsys=capsys) == (0, f"wrote {path}\n", "")
+    written = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    printed = [line.split() for line in printed.splitlines()]
+    assert printed[0] == written[0] == ["input_parameter", *names]
+    report = correlation_report(standard_sweep_results())
+    assert [row[0] for row in written[1:]] == [row[0] for row in printed[1:]] == [
+        key for key, _ in report
+    ]
+    for (key, row), shown, cells in zip(report, printed[1:], written[1:]):
+        assert shown[1:] == [f"{row[name]:.6f}" for name in names]
+        assert cells[1:] == [CSV_FORMAT % row[name] for name in names]
+
+
 class TestPlot:
     @pytest.mark.parametrize("flag", ["--title", "--y-label"])
     def test_an_empty_label_errors_without_writing(self, tmp_path, capsys, flag):
@@ -364,6 +383,19 @@ class TestPlot:
         code, _, err = run_cli("plot", str(csv), "--out", str(svg), capsys=capsys)
         assert code == 1
         assert "no data rows" in err
+        assert not svg.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty file"),
+        ("snr\n10\n", "header needs an input column and at least one series"),
+        ("snr,a\n10,x\n", "row 2: could not convert string to float: 'x'"),
+    ])
+    def test_an_unreadable_sweep_errors_without_writing(self, tmp_path, capsys, text, message):
+        csv = tmp_path / "bad.csv"
+        csv.write_text(text)
+        svg = tmp_path / "chart.svg"
+        code, out, err = run_cli("plot", str(csv), "--out", str(svg), capsys=capsys)
+        assert (code, out, err) == (1, "", f"error: {csv}: {message}\n")
         assert not svg.exists()
 
     def test_malformed_row_reports_row_number(self, tmp_path, capsys):
@@ -420,6 +452,11 @@ BAD_INPUTS = {
         lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
                      "--grid", "10,a", "--out", str(tmp / "sweep.csv")],
         "--grid: 'a' is not a number"),
+    "sweep-grid-two-parts": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary",
+                                          "snr", "--grid", "1:2", "--out", str(tmp / "s.csv")],
+                             "--grid must be lo:hi:step or a comma list, got '1:2'"),
+    "eval-in-no-value": (lambda tmp: ["eval", "--decision", "handoff-status", "--in", "snr"],
+                         "--in expects name=value, got 'snr'"),
     "sweep-fixed-inf": (lambda tmp: ["sweep", "--decision", "handoff-status", "--vary", "snr",
                                      "--fixed", "inf", "--out", str(tmp / "sweep.csv")],
                         "--fixed must be finite, got inf"),
@@ -681,6 +718,7 @@ class TestConfigFile:
         ("variant =", "variant: unknown variant ''; valid: gaussian-mamdani, "
                       "triangular-mamdani, constant-sugeno, linear-sugeno"),
         ("output_dir =", "output_dir must not be empty"),
+        ("resolution 1001", "expected key = value"),
     ])
     def test_values_that_would_fail_later_are_rejected_at_their_line(
         self, tmp_path, line, message

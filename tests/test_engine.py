@@ -219,6 +219,11 @@ class TestSystemValidation:
         with pytest.raises(ValueError, match="odd and >= 101, got 1000"):
             mamdani_system([Rule.of({"x": "Lo"}, "Mid")], resolution=1000)
 
+    @pytest.mark.parametrize("rules", [[], ()])
+    def test_a_system_needs_a_rule(self, rules):
+        with pytest.raises(ValueError, match="system needs at least one rule"):
+            FuzzySystem([make_input()], make_output(), rules)
+
     def test_rule_arity_capped_by_inputs(self):
         rule = Rule.of({"x": "Lo", "z": "Hi"}, "Mid")
         with pytest.raises(ValueError, match="unknown input variable 'z'"):

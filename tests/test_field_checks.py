@@ -127,6 +127,21 @@ CASES = [
     ("build_system.sugeno_consequents number",
      lambda v: build_system(HANDOFF, LINEAR, sugeno_consequents={"On": (1.0, v)}),
      "consequent 'On' needs finite numbers, got", NOT_A_FINITE_NUMBER),
+    # a list of pairs, a str or [] is no mapping of labels, not even an empty one
+    ("build_system.sugeno_consequents",
+     lambda v: build_system(HANDOFF, LINEAR, sugeno_consequents=v),
+     "sugeno_consequents must be a mapping, got",
+     st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER, st.sampled_from([[("On", (1.0,))], [], ()]))
+     .filter(lambda v: v is not None and not isinstance(v, dict))),
+    # a key that names no metric would leave that metric on its default range
+    ("RadioScenario.crisp_inputs calibration name",
+     lambda v: RadioScenario().crisp_inputs({v: CalibrationRange(0.0, 40.0)}),
+     "unknown metric",
+     st.one_of(NOT_A_STR, st.sampled_from(["SNR", "Snr", "rssi", ""]))),
+    ("RadioScenario.crisp_inputs calibration value",
+     lambda v: RadioScenario().crisp_inputs({"snr": v}),
+     "calibration 'snr' must be a CalibrationRange, got",
+     st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER, st.just((0.0, 40.0)))),
     ("check_resolution", check_resolution, "resolution must be an integer, got", NEITHER),
 ]
 

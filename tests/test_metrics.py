@@ -184,6 +184,13 @@ class TestRadioScenario:
         assert wide["snr"] == pytest.approx(50.0)
         assert narrow["snr"] == pytest.approx(100.0)
 
+    def test_a_calibration_for_no_metric_is_rejected(self):
+        # ignored, "SNR" would leave snr on its default range, a plausible value
+        with pytest.raises(ValueError, match=r"unknown metric 'SNR'; valid: \['snr', "):
+            RadioScenario().crisp_inputs({"SNR": CalibrationRange(0.0, 40.0)})
+        with pytest.raises(ValueError, match="calibration 'snr' must be a CalibrationRange"):
+            RadioScenario().crisp_inputs({"snr": "0..40"})
+
     # "0.5" and None used to raise a bare "TypeError: must be real number, not str"
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None])
     @pytest.mark.parametrize("cls, field", [
@@ -204,6 +211,9 @@ class TestRadioScenario:
         ({"bandwidth": 0.0}, "bandwidth must be positive"),
         ({"lam1": 0.0, "lam2": 0.0}, "arrival rates must sum to a positive value"),
         ({"rho2": 1.5}, r"rho2 must be in \[0, 1\], got 1.5"),
+        ({"rho2": -0.5}, "rho2 must be >= 0, got -0.5"),
+        ({"free_time": -1.0}, "times and arrival counts must be >= 0"),
+        ({"avail_band": 0.0}, "available band must be positive, got 0.0"),
     ])
     def test_a_scenario_whose_metrics_cannot_be_computed_is_rejected(self, fields, message):
         # all but rho2 used to be accepted here and fail in crisp_inputs

@@ -113,6 +113,22 @@ class TestParser:
         with pytest.raises(RuleParseError, match="THEN"):
             parse_rules("IF snr IS Low", inputs, output)
 
+    @pytest.mark.parametrize("line, message", [
+        ("snr IS Low THEN handoff_status IS Off", "rule must start with IF"),
+        ("IF snr IS Low AND THEN handoff_status IS Off", "empty clause around AND"),
+        ("IF snr IS Low AND AND interference IS High THEN handoff_status IS Off",
+         "empty clause around AND"),
+        ("IF snr IS Low THEN", "empty consequent after THEN"),
+        ("IF snr Low THEN handoff_status IS Off", "clause needs exactly one IS: 'snr Low'"),
+        ("IF snr IS Low IS High THEN handoff_status IS Off", "clause needs exactly one IS"),
+        ("IF snr IS THEN handoff_status IS Off", "incomplete clause: 'snr IS'"),
+        ("IF snr IS Low THEN IS Off", "incomplete clause: 'IS Off'"),
+    ])
+    def test_a_syntax_error_names_its_line(self, tri_catalog, line, message):
+        inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
+        with pytest.raises(RuleParseError, match=f"^line 2: {re.escape(message)}"):
+            parse_rules("# a comment\n" + line, inputs, output)
+
     def test_repeated_variable_in_one_rule(self, tri_catalog):
         inputs, output = bound_variables(tri_catalog, DecisionId.HANDOFF_STATUS)
         text = "IF snr IS Low AND snr IS High THEN handoff_status IS Off"
