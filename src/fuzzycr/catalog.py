@@ -128,12 +128,12 @@ _INPUT_SPECS = (
 )
 
 _OUTPUT_SPECS = (
-    ("channel_selection", _FIVE),
-    ("handoff_status", _binary_triangles("Off", "On")),
-    ("channel_gain", GAIN_TRIANGLES),
-    ("access_spectrum", _FIVE),
-    ("access_latency", _FIVE),
-    ("bandwidth_allocation", _FIVE),
+    (DecisionId.CHANNEL_SELECTION, _FIVE),
+    (DecisionId.HANDOFF_STATUS, _binary_triangles("Off", "On")),
+    (DecisionId.CHANNEL_GAIN, GAIN_TRIANGLES),
+    (DecisionId.ACCESS_SPECTRUM, _FIVE),
+    (DecisionId.ACCESS_LATENCY, _FIVE),
+    (DecisionId.BANDWIDTH_ALLOCATION, _FIVE),
 )
 
 DECISION_INPUTS: dict[DecisionId, tuple[str, ...]] = {
@@ -149,14 +149,9 @@ DECISION_INPUTS: dict[DecisionId, tuple[str, ...]] = {
     DecisionId.BANDWIDTH_ALLOCATION: ("access_latency", "traffic_priority"),
 }
 
-DECISION_OUTPUT: dict[DecisionId, str] = {
-    DecisionId.CHANNEL_SELECTION: "channel_selection",
-    DecisionId.HANDOFF_STATUS: "handoff_status",
-    DecisionId.CHANNEL_GAIN: "channel_gain",
-    DecisionId.ACCESS_SPECTRUM: "access_spectrum",
-    DecisionId.ACCESS_LATENCY: "access_latency",
-    DecisionId.BANDWIDTH_ALLOCATION: "bandwidth_allocation",
-}
+# Each decision's output variable, and the stem of its ``.rules`` file: the
+# decision's own value with ``_`` for ``-`` (``channel_selection``).
+DECISION_OUTPUT: dict[DecisionId, str] = {d: d.value.replace("-", "_") for d in DecisionId}
 
 
 @dataclass(frozen=True)
@@ -184,8 +179,8 @@ def standard_catalog(family: str = "triangular") -> VariableCatalog:
         for name, triangles in _INPUT_SPECS
     }
     outputs = {
-        name: _variable(name, family, triangles)
-        for name, triangles in _OUTPUT_SPECS
+        DECISION_OUTPUT[d]: _variable(DECISION_OUTPUT[d], family, triangles)
+        for d, triangles in _OUTPUT_SPECS
     }
     return VariableCatalog(inputs, outputs)
 

@@ -330,13 +330,15 @@ def _read_sweep_csv(path: Path) -> tuple[list[str], list[list[float]]]:
             raise CliError(
                 f"{path}: row {row_no} has {len(cells)} cells, expected {len(header)}"
             )
-        try:
-            row = [float(c) for c in cells]
-        except ValueError as exc:
-            raise CliError(f"{path}: row {row_no}: {exc}") from exc
-        for name, value in zip(header, row):
-            if not math.isfinite(value):
-                raise CliError(f"{path}: row {row_no}, column {name!r}: {value} is not finite")
+        row = []
+        for name, cell in zip(header, cells):
+            where = f"{path}: row {row_no}, column {name!r}"
+            try:
+                row.append(float(cell))
+            except ValueError:
+                raise CliError(f"{where}: {cell.strip()!r} is not a number") from None
+            if not math.isfinite(row[-1]):
+                raise CliError(f"{where}: {row[-1]} is not finite")
         rows.append(row)
     if not rows:
         raise CliError(f"{path}: no data rows")
@@ -359,9 +361,8 @@ def cmd_plot(args: argparse.Namespace, config: CliConfig) -> int:
 def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
     path = Path(args.path)
     text = path.read_text(encoding="utf-8")
-    catalog = standard_catalog("triangular")
     try:
-        rulebase = parse_catalog_rules(text, catalog)
+        rulebase = parse_catalog_rules(text)
     except RuleParseError as exc:
         print(f"{path}: {exc}")
         return 1
@@ -370,7 +371,7 @@ def cmd_check_rules(args: argparse.Namespace, config: CliConfig) -> int:
         print(f"{path}: 0 rules")
         return 0
     antecedent_names = rulebase.variable_order[:-1]
-    labels = [catalog.inputs[name].labels for name in antecedent_names]
+    labels = [standard_catalog("triangular").inputs[name].labels for name in antecedent_names]
     missing, conflicts = [], []
     for combo in itertools.product(*labels):
         # a rule that leaves an input out matches every label of it

@@ -8,6 +8,7 @@ is fed to the inference engines directly as a 0..100 value.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .membership import _require_finite
@@ -190,10 +191,13 @@ class RadioScenario:
         }
 
     def crisp_inputs(
-        self, calibration: dict[str, CalibrationRange] | None = None
+        self, calibration: Mapping[str, CalibrationRange] | None = None
     ) -> dict[str, float]:
-        """Derived metrics normalized onto [0, 100]. ``calibration``, a mapping,
-        replaces the range of each metric it names; other keys or values raise."""
+        """Derived metrics normalized onto [0, 100]. ``calibration``, ``None``
+        or a mapping, replaces the range of each metric it names; anything
+        else, or another key or value, is a ``ValueError``."""
+        if not isinstance(calibration, (Mapping, type(None))):
+            raise ValueError(f"calibration must be a mapping, got {calibration!r}")
         cal = {**DEFAULT_CALIBRATION, **calibration} if calibration else DEFAULT_CALIBRATION
         for name, value in (calibration or {}).items():
             if name not in DEFAULT_CALIBRATION:

@@ -17,14 +17,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .catalog import standard_catalog
+from .catalog import DECISION_OUTPUT, DecisionId, standard_catalog
 from .engine import Rule, bind_rule, input_index
 from .membership import LinguisticVariable, normalize_label
-
-if TYPE_CHECKING:
-    from .catalog import DecisionId, VariableCatalog
 
 __all__ = [
     "RuleBase",
@@ -152,30 +149,33 @@ def parse_rules(
     return _bind_rules(_rule_lines(text), inputs, output)
 
 
-def parse_catalog_rules(text: str, catalog: VariableCatalog) -> RuleBase:
-    """Parse rule text against the catalog variables it names.
+def _bind_decision(lines: Iterable[_RuleLine], decision: DecisionId) -> RuleBase:
+    """Bind ``lines`` to one decision's triangular catalog inputs and output."""
+    catalog = standard_catalog("triangular")
+    return _bind_rules(lines, catalog.decision_inputs(decision), catalog.decision_output(decision))
 
-    The inputs are the catalog inputs named in IF clauses, in first-seen
-    order; the output is the catalog output the first THEN clause assigns.
-    Text without rules gives an empty rule base.
+
+def parse_catalog_rules(text: str) -> RuleBase:
+    """Parse rule text against the decision its first THEN clause assigns.
+
+    The text binds as ``builtin_rulebase`` binds that decision's file: to its
+    catalog inputs, in ``DECISION_INPUTS`` order, and its output. An input
+    outside the decision is an error at its line. Text without rules gives
+    an empty rule base.
     """
     lines = list(_rule_lines(text))
     if not lines:
         return RuleBase(())
-    inputs = {normalize_label(name): v for name, v in catalog.inputs.items()}
-    outputs = {normalize_label(name): v for name, v in catalog.outputs.items()}
-    named = dict.fromkeys(
-        normalize_label(name) for _, clauses, _ in lines for name, _ in clauses
-    )
     line_no, _, (out_name, _) = lines[0]
-    output = outputs.get(normalize_label(out_name))
-    if output is None:
+    try:
+        decision = DecisionId.parse(out_name)
+    except ValueError:
         raise RuleParseError(
             f"unknown output variable {out_name!r}; "
-            f"catalog outputs: {', '.join(catalog.outputs)}",
+            f"catalog outputs: {', '.join(DECISION_OUTPUT.values())}",
             line_no,
-        )
-    return _bind_rules(lines, [inputs[key] for key in named if key in inputs], output)
+        ) from None
+    return _bind_decision(lines, decision)
 
 
 def serialize_rules(rulebase: RuleBase) -> str:
@@ -195,9 +195,6 @@ def serialize_rules(rulebase: RuleBase) -> str:
 @functools.cache
 def builtin_rulebase(decision: DecisionId) -> RuleBase:
     """The shipped rule base for one decision, read from its ``.rules`` file."""
-    name = decision.value.replace("-", "_") + ".rules"
+    name = DECISION_OUTPUT[decision] + ".rules"
     text = resources.files("fuzzycr.data").joinpath(name).read_text(encoding="utf-8")
-    catalog = standard_catalog("triangular")
-    return parse_rules(
-        text, catalog.decision_inputs(decision), catalog.decision_output(decision)
-    )
+    return _bind_decision(_rule_lines(text), decision)

@@ -13,10 +13,9 @@ TICKS = 5
 
 
 def _nice_span(lo: float, hi: float) -> tuple[float, float]:
-    if lo == hi:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
-        return lo - pad, hi + pad
-    pad = (hi - lo) * 0.05
+    """``[lo, hi]`` padded by a twentieth of its width a side; a zero width
+    by a tenth of ``|lo|``, or by 1 where that rounds to 0, so never zero."""
+    pad = (hi - lo) * 0.05 if lo != hi else abs(lo) * 0.1 or 1.0
     return lo - pad, hi + pad
 
 

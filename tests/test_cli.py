@@ -5,7 +5,7 @@ import pytest
 
 from fuzzycr.analysis import (CORRELATION_PAIRS, VariantId, build_system, correlation_report,
                               standard_sweep_results)
-from fuzzycr.catalog import DecisionId
+from fuzzycr.catalog import DECISION_INPUTS, DECISION_OUTPUT, DecisionId, standard_catalog
 from fuzzycr.cli import (
     _FLAGS,
     _SCALAR_KEYS,
@@ -20,6 +20,7 @@ from fuzzycr.cli import (
     main,
 )
 from fuzzycr.engine import EmptyAggregateError, FuzzySystem
+from fuzzycr.ruledsl import RuleParseError, builtin_rulebase, parse_catalog_rules, parse_rules
 
 
 def run_cli(*argv, capsys=None):
@@ -388,7 +389,8 @@ class TestPlot:
     @pytest.mark.parametrize("text,message", [
         ("", "empty file"),
         ("snr\n10\n", "header needs an input column and at least one series"),
-        ("snr,a\n10,x\n", "row 2: could not convert string to float: 'x'"),
+        ("snr,a\n10,x\n", "row 2, column 'a': 'x' is not a number"),
+        ("snr,a\n10,1\n, 2\n", "row 3, column 'snr': '' is not a number"),
     ])
     def test_an_unreadable_sweep_errors_without_writing(self, tmp_path, capsys, text, message):
         csv = tmp_path / "bad.csv"
@@ -573,20 +575,17 @@ class TestCheckRules:
         assert code == 0
         assert "125 rules, complete, no conflicts" in out
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "handoff_status.rules",
-            "channel_gain.rules",
-            "access_spectrum.rules",
-            "access_latency.rules",
-            "bandwidth_allocation.rules",
-        ],
-    )
-    def test_all_shipped_files_are_clean(self, name, capsys):
-        code, out, _ = run_cli("check-rules", str(self.shipped(name)), capsys=capsys)
+    @pytest.mark.parametrize("decision", list(DecisionId))
+    def test_all_shipped_files_are_clean(self, decision, capsys):
+        # and check-rules checks what the loader loads
+        path = self.shipped(DECISION_OUTPUT[decision] + ".rules")
+        code, out, _ = run_cli("check-rules", str(path), capsys=capsys)
         assert code == 0
         assert "complete, no conflicts" in out
+        checked, loaded = parse_catalog_rules(path.read_text("utf-8")), builtin_rulebase(decision)
+        assert checked == loaded
+        assert checked.variable_order == loaded.variable_order == (
+            *DECISION_INPUTS[decision], DECISION_OUTPUT[decision])
 
     def test_missing_combination_listed(self, tmp_path, capsys):
         text = self.shipped("handoff_status.rules").read_text("utf-8")
@@ -647,6 +646,25 @@ class TestCheckRules:
         code, out, _ = run_cli("check-rules", str(rules), capsys=capsys)
         assert code == 0
         assert "5 rules, complete, no conflicts" in out
+
+    def test_an_input_outside_the_decision_is_an_error_at_its_line(self, tmp_path, capsys):
+        # check-rules used to bind any catalog input its IF clauses named,
+        # and passed these five rules that the loader cannot bind
+        labels = ("VeryLow", "Low", "Moderate", "High", "VeryHigh")
+        rules = tmp_path / "foreign.rules"
+        rules.write_text(
+            "".join(f"IF signal_strength IS {l} THEN handoff_status IS On\n" for l in labels)
+        )
+        code, out, err = run_cli("check-rules", str(rules), capsys=capsys)
+        assert (code, err) == (1, "")
+        assert out == (f"{rules}: line 1: unknown input variable 'signal_strength'; "
+                       "bound inputs: snr, interference\n")
+        # the loader's own binding gives the same error
+        catalog, handoff = standard_catalog("triangular"), DecisionId.HANDOFF_STATUS
+        with pytest.raises(RuleParseError) as caught:
+            parse_rules(rules.read_text(), catalog.decision_inputs(handoff),
+                        catalog.decision_output(handoff))
+        assert f"{rules}: {caught.value}\n" == out
 
     def test_empty_file_reports_zero_rules(self, tmp_path, capsys):
         empty = tmp_path / "empty.rules"

@@ -142,6 +142,12 @@ CASES = [
      lambda v: RadioScenario().crisp_inputs({"snr": v}),
      "calibration 'snr' must be a CalibrationRange, got",
      st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER, st.just((0.0, 40.0)))),
+    # 0 or [] is no calibration of no metric either: only None means none
+    ("RadioScenario.crisp_inputs calibration",
+     lambda v: RadioScenario().crisp_inputs(v),
+     "calibration must be a mapping, got",
+     st.one_of(NOT_A_STR, NOT_A_FINITE_NUMBER, st.sampled_from([[("snr", 1.0)], [], (), 0]))
+     .filter(lambda v: v is not None and not isinstance(v, dict))),
     ("check_resolution", check_resolution, "resolution must be an integer, got", NEITHER),
 ]
 

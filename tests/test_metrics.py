@@ -191,6 +191,14 @@ class TestRadioScenario:
         with pytest.raises(ValueError, match="calibration 'snr' must be a CalibrationRange"):
             RadioScenario().crisp_inputs({"snr": "0..40"})
 
+    # 0 and [] used to mean no calibration, and a list of pairs raised a
+    # TypeError that named no field; only None means none
+    @pytest.mark.parametrize("calibration", [0, [], "", [("snr", CalibrationRange(0.0, 40.0))]])
+    def test_a_calibration_that_is_not_a_mapping_is_rejected(self, calibration):
+        with pytest.raises(ValueError, match=r"^calibration must be a mapping, got "):
+            RadioScenario().crisp_inputs(calibration)
+        assert RadioScenario().crisp_inputs(None) == RadioScenario().crisp_inputs({})
+
     # "0.5" and None used to raise a bare "TypeError: must be real number, not str"
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", None])
     @pytest.mark.parametrize("cls, field", [

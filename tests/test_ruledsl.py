@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzzycr.analysis import VariantId, build_system
-from fuzzycr.catalog import DecisionId, standard_catalog
+from fuzzycr.catalog import DECISION_OUTPUT, DecisionId, standard_catalog
 from fuzzycr.engine import EmptyAggregateError, FuzzySystem, Rule
 from fuzzycr.ruledsl import (
     RuleParseError,
@@ -241,7 +241,7 @@ class TestBuiltinBases:
         # direction: each file is the canonical text of the base it defines
         from importlib import resources
 
-        name = decision.value.replace("-", "_") + ".rules"
+        name = DECISION_OUTPUT[decision] + ".rules"
         text = resources.files("fuzzycr.data").joinpath(name).read_text("utf-8")
         rule_lines = [line for line in text.splitlines() if not line.startswith("#")]
         assert rule_lines == serialize_rules(builtin_rulebase(decision)).splitlines()

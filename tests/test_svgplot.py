@@ -13,9 +13,10 @@ def polyline_points(svg):
     return [tuple(map(float, point.split(","))) for point in points.split()]
 
 
-@pytest.mark.parametrize("level", [0.0, 50.0, -3.0])
+@pytest.mark.parametrize("level", [0.0, 50.0, -3.0, 5e-324, -5e-324])
 def test_a_constant_series_is_drawn_level_across_the_middle(tmp_path, level):
-    # a zero span is padded, not divided by: zero by 1, others by a tenth of the level
+    # a zero span is padded, not divided by: by a tenth of the level, or by 1
+    # where that is 0 (a tenth of 5e-324 rounds to 0)
     path = tmp_path / "flat.svg"
     write_line_chart(path, [0.0, 50.0, 100.0], {"flat": [level] * 3}, "x", "y")
     points = polyline_points(path.read_text(encoding="utf-8"))
@@ -24,9 +25,10 @@ def test_a_constant_series_is_drawn_level_across_the_middle(tmp_path, level):
     assert all(PLOT_LEFT < x < PLOT_RIGHT for x, _ in points)
 
 
-def test_one_point_is_drawn_in_the_middle(tmp_path):
+@pytest.mark.parametrize("x", [5.0, 5e-324])
+def test_one_point_is_drawn_in_the_middle(tmp_path, x):
     path = tmp_path / "point.svg"
-    write_line_chart(path, [5.0], {"a": [1.0]}, "x", "y")
+    write_line_chart(path, [x], {"a": [1.0]}, "x", "y")
     [(x, y)] = polyline_points(path.read_text(encoding="utf-8"))
     assert x == pytest.approx((PLOT_LEFT + PLOT_RIGHT) / 2, abs=0.01)
     assert y == pytest.approx((PLOT_TOP + PLOT_BOTTOM) / 2, abs=0.01)
